@@ -90,7 +90,7 @@ impl RuncPair {
     /// onto the first `active_nodes` nodes, so a map written for a larger
     /// cluster keeps attributing work to live timelines after the active
     /// set shrank. Note the load generator never consults this map — its
-    /// `Placed` wrapper overrides placement per instance — so clamping
+    /// per-instance placement wrapper overrides it — so clamping
     /// only matters when a pair is driven directly (e.g. handed to
     /// `execute_concurrent` against downsized `SchedResources`).
     ///

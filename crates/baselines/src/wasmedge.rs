@@ -13,7 +13,7 @@
 //! / [`wasi_receiver`](roadrunner::guest::wasi_receiver)); their chunk
 //! loops execute instruction by instruction. One documented substitution:
 //! the serialization *bytes* are produced by the host-side codec while
-//! the *cost* is charged at the calibrated in-VM rate (DESIGN.md §6) —
+//! the *cost* is charged at the calibrated in-VM rate (DESIGN.md §7) —
 //! writing a full text encoder in raw Wasm instructions would change no
 //! measured quantity.
 
@@ -139,7 +139,7 @@ impl WasmedgePair {
     /// onto the first `active_nodes` nodes, so a map written for a larger
     /// cluster keeps attributing work to live timelines after the active
     /// set shrank. Note the load generator never consults this map — its
-    /// `Placed` wrapper overrides placement per instance — so clamping
+    /// per-instance placement wrapper overrides it — so clamping
     /// only matters when a pair is driven directly (e.g. handed to
     /// `execute_concurrent` against downsized `SchedResources`).
     ///

@@ -8,7 +8,7 @@
 //! co-located deployment, fig12/fig13-style cluster):
 //!
 //! * `serial` — back-to-back [`execute`] runs (the paper-figure path);
-//! * `concurrent` — [`execute_concurrent_at`] on fresh resources per
+//! * `concurrent` — [`execute_concurrent`] on fresh resources per
 //!   instance (the uncontended DAG engine);
 //! * `open_loop` — a fig12-style [`OpenLoop`] sweep onto shared
 //!   resources;
@@ -23,7 +23,7 @@
 //!   recorded, on smaller hosts).
 //!
 //! Each scenario is measured twice **in the same run**. For `serial`
-//! and `concurrent` the baseline is the legacy per-call entry points
+//! and `concurrent` the baseline is the plain per-call entry points
 //! (re-validate + re-topo-sort every execution, no memo) against
 //! [`CompiledWorkflow`] reuse + [`MemoizedPlane`]. For the two load
 //! scenarios the baseline is the **unmemoized** engine — the
@@ -44,55 +44,23 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
+use roadrunner_bench::pipeline::{roadrunner_plane, spec, uncontended};
 use roadrunner_bench::{quick_flag, MB};
 use roadrunner_platform::{
-    execute, execute_compiled, execute_compiled_at, execute_concurrent_at, AdmissionConfig, Autoscaler,
-    AutoscalerConfig, ClosedLoop, CompiledWorkflow, DataPlane, FunctionBundle, LoadRun,
-    MemoizedPlane, OpenLoop, WorkflowSpec,
+    execute, execute_compiled, execute_compiled_at, execute_concurrent, AdmissionConfig,
+    Autoscaler, AutoscalerConfig, ClosedLoop, CompiledWorkflow, DataPlane, LoadRun,
+    MemoizedPlane, OpenLoop, OverloadConfig,
 };
 use roadrunner_platform::{
     available_workers, run_jobs, ArrivalProcess, LocalityFirst, PackThenSpill, SweepMode,
 };
 use roadrunner_vkernel::{ClusterSpec, Nanos, SchedResources, Testbed};
-use roadrunner_wasm::encode;
 
 const NODES: usize = 4;
 const CORES: u32 = 4;
 
 fn cluster() -> Arc<Testbed> {
     Arc::new(ClusterSpec::homogeneous(NODES, CORES, 8 << 30).build())
-}
-
-fn spec() -> WorkflowSpec {
-    WorkflowSpec::sequence(
-        "pipeline",
-        "bench",
-        ["src".to_owned(), "relay".to_owned(), "sink".to_owned()],
-    )
-}
-
-fn rr_bundle(name: &str, module: roadrunner_wasm::Module) -> Arc<FunctionBundle> {
-    Arc::new(
-        FunctionBundle::wasm(name, encode::encode(&module))
-            .with_workflow("bench_engine")
-            .with_tenant("bench"),
-    )
-}
-
-fn roadrunner_plane(bed: &Arc<Testbed>) -> RoadrunnerPlane {
-    let mut plane =
-        RoadrunnerPlane::new(Arc::clone(bed), ShimConfig::default().with_load_costs(false));
-    plane
-        .deploy(0, "src", rr_bundle("src", guest::producer()), "produce", false)
-        .expect("deploy src");
-    plane
-        .deploy(0, "relay", rr_bundle("relay", guest::relay()), "relay", false)
-        .expect("deploy relay");
-    plane
-        .deploy(0, "sink", rr_bundle("sink", guest::consumer()), "consume", true)
-        .expect("deploy sink");
-    plane
 }
 
 /// One timed measurement: `instances` workflow instances comprising
@@ -180,17 +148,11 @@ fn main() {
 
     let bed = cluster();
     let clock = bed.clock().clone();
-    let mut plane = roadrunner_plane(&bed);
+    let mut plane = roadrunner_plane(&bed, [0, 0, 0], "bench_engine");
     // Warm-up: lazy connection establishment and the solo makespan the
     // closed loop derives its think time from, all outside every timed
     // window.
-    execute(&mut plane, &clock, &workflow, payload.clone()).expect("warmup");
-    let solo_ns = {
-        let mut fresh = SchedResources::mesh(&[CORES; NODES]);
-        execute_concurrent_at(&mut plane, &clock, &workflow, payload.clone(), &mut fresh, 0)
-            .expect("solo run")
-            .total_latency_ns
-    };
+    let solo_ns = uncontended(&mut plane, &bed, &payload, SchedResources::mesh(&[CORES; NODES]));
 
     let mut scenarios: Vec<Scenario> = Vec::new();
 
@@ -224,16 +186,10 @@ fn main() {
         let baseline = timed(serial_n, edges, || {
             for _ in 0..serial_n {
                 let mut fresh = SchedResources::mesh(&[CORES; NODES]);
-                // Legacy entry point: re-validates and re-sorts per call.
-                let run = execute_concurrent_at(
-                    &mut plane,
-                    &clock,
-                    &workflow,
-                    payload.clone(),
-                    &mut fresh,
-                    0,
-                )
-                .expect("concurrent baseline");
+                // Plain entry point: re-validates and re-sorts per call.
+                let run =
+                    execute_concurrent(&mut plane, &clock, &workflow, payload.clone(), &mut fresh)
+                        .expect("concurrent baseline");
                 check.push(run.total_latency_ns);
             }
         });
@@ -315,8 +271,16 @@ fn main() {
                 scale_down_backlog_ns: solo_ns / 16,
                 window_ns: (solo_ns / 4).max(1),
             });
-            load.run_elastic(plane, &clock, &mut resources, &mut policy, Some(&mut scaler))
-                .expect("closed-loop run")
+            load.run_overloaded(
+                plane,
+                &clock,
+                &mut resources,
+                &mut policy,
+                Some(&mut scaler),
+                None,
+                &OverloadConfig::default(),
+            )
+            .expect("closed-loop run")
         };
         let instances = users * rounds;
         let mut base_run = None;
@@ -362,7 +326,7 @@ fn main() {
         let run_one = |seed: u64| {
             let bed = cluster();
             let clock = bed.clock().clone();
-            let mut plane = roadrunner_plane(&bed);
+            let mut plane = roadrunner_plane(&bed, [0, 0, 0], "bench_engine");
             execute(&mut plane, &clock, &spec(), payload.clone()).expect("job warmup");
             let mut memo = MemoizedPlane::new(&mut plane, clock.clone());
             let load = OpenLoop {

@@ -13,13 +13,12 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
+use roadrunner_bench::pipeline::rr_bundle;
 use roadrunner_bench::{quick_flag, MB};
 use roadrunner_platform::{
-    critical_path_ns, execute, execute_concurrent, FunctionBundle, WorkflowDag, WorkflowRun,
-    WorkflowSpec,
+    critical_path_ns, execute, execute_concurrent, WorkflowDag, WorkflowRun, WorkflowSpec,
 };
 use roadrunner_vkernel::{secs, SchedResources, Testbed};
-use roadrunner_wasm::encode;
 
 /// What a workflow node does with its input.
 #[derive(Clone, Copy)]
@@ -92,14 +91,6 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-fn rr_bundle(name: &str, module: roadrunner_wasm::Module) -> Arc<FunctionBundle> {
-    Arc::new(
-        FunctionBundle::wasm(name, encode::encode(&module))
-            .with_workflow("fig11")
-            .with_tenant("bench"),
-    )
-}
-
 fn deploy(scenario: &Scenario) -> (Arc<Testbed>, RoadrunnerPlane) {
     let bed = Arc::new(Testbed::paper());
     let mut plane =
@@ -111,7 +102,7 @@ fn deploy(scenario: &Scenario) -> (Arc<Testbed>, RoadrunnerPlane) {
             Role::Consume => (guest::consumer(), "consume", true),
         };
         plane
-            .deploy(*node, name, rr_bundle(name, module), handler, returns)
+            .deploy(*node, name, rr_bundle(name, module, "fig11"), handler, returns)
             .expect("deploy scenario function");
     }
     (bed, plane)

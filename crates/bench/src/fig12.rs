@@ -29,16 +29,15 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
 use roadrunner_baselines::{RuncPair, WasmedgePair};
 use roadrunner_platform::{
-    execute, execute_concurrent, replicate, sweep, AdmissionConfig, ArrivalProcess, DataPlane, FunctionBundle,
-    LocalityFirst, MemoizedPlane, OpenLoop, PercentileSummary, PlacementPolicy, ReplicatedStat,
-    SpreadLoad, SweepGrid, SweepMode, SweepPoint, WorkflowSpec,
+    replicate, sweep, AdmissionConfig, ArrivalProcess, DataPlane, LocalityFirst, MemoizedPlane,
+    OpenLoop, PercentileSummary, PlacementPolicy, ReplicatedStat, SpreadLoad, SweepGrid,
+    SweepMode, SweepPoint,
 };
 use roadrunner_vkernel::{secs, ClusterSpec, Nanos, SchedResources, Testbed};
-use roadrunner_wasm::encode;
 
+use crate::pipeline::{roadrunner_plane, spec, uncontended};
 use crate::MB;
 
 const NODES: usize = 4;
@@ -67,52 +66,24 @@ fn cluster() -> Arc<Testbed> {
     Arc::new(ClusterSpec::homogeneous(NODES, 4, 8 << 30).build())
 }
 
-fn spec() -> WorkflowSpec {
-    WorkflowSpec::sequence(
-        "pipeline",
-        "bench",
-        ["src".to_owned(), "relay".to_owned(), "sink".to_owned()],
-    )
-}
-
-fn rr_bundle(name: &str, module: roadrunner_wasm::Module) -> Arc<FunctionBundle> {
-    Arc::new(
-        FunctionBundle::wasm(name, encode::encode(&module))
-            .with_workflow("fig12")
-            .with_tenant("bench"),
-    )
-}
-
-/// Deploys the Roadrunner pipeline, colocated on node 0 (`locality`
-/// regime: kernel-space edges) or spread over nodes 0/1/2 (`spread`
-/// regime: network edges).
-fn roadrunner_plane(bed: &Arc<Testbed>, colocated: bool) -> RoadrunnerPlane {
-    let mut plane =
-        RoadrunnerPlane::new(Arc::clone(bed), ShimConfig::default().with_load_costs(false));
-    let nodes: [usize; 3] = if colocated { [0, 0, 0] } else { [0, 1, 2] };
-    plane
-        .deploy(nodes[0], "src", rr_bundle("src", guest::producer()), "produce", false)
-        .expect("deploy src");
-    plane
-        .deploy(nodes[1], "relay", rr_bundle("relay", guest::relay()), "relay", false)
-        .expect("deploy relay");
-    plane
-        .deploy(nodes[2], "sink", rr_bundle("sink", guest::consumer()), "consume", true)
-        .expect("deploy sink");
-    plane
-}
-
 struct SystemUnderLoad {
     label: &'static str,
     plane: Box<dyn DataPlane>,
 }
 
-/// The three systems, each deployed for one co-location regime. Pairs
-/// carry every edge of the pipeline over their established connection.
+/// The three systems, each deployed for one co-location regime: the
+/// Roadrunner pipeline colocated on node 0 (`locality` regime:
+/// kernel-space edges) or spread over nodes 0/1/2 (`spread` regime:
+/// network edges). Pairs carry every edge of the pipeline over their
+/// established connection.
 fn systems(bed: &Arc<Testbed>, colocated: bool) -> Vec<SystemUnderLoad> {
     let peer = usize::from(!colocated);
+    let nodes = if colocated { [0, 0, 0] } else { [0, 1, 2] };
     vec![
-        SystemUnderLoad { label: "roadrunner", plane: Box::new(roadrunner_plane(bed, colocated)) },
+        SystemUnderLoad {
+            label: "roadrunner",
+            plane: Box::new(roadrunner_plane(bed, nodes, "fig12")),
+        },
         SystemUnderLoad {
             label: "runc",
             plane: Box::new(RuncPair::establish(Arc::clone(bed), 0, peer)),
@@ -129,20 +100,6 @@ fn policy_of(name: &str) -> Box<dyn PlacementPolicy> {
         "locality" => Box::new(LocalityFirst::new()),
         _ => Box::new(SpreadLoad::new()),
     }
-}
-
-/// Uncontended concurrent makespan of one instance on a fresh, empty
-/// cluster — the lower bound no instance under load may beat. The plane
-/// is warmed first (one discarded serial run) so lazy connection
-/// establishment is excluded from every measured comparison.
-fn uncontended(plane: &mut dyn DataPlane, bed: &Arc<Testbed>, payload: &Bytes) -> Nanos {
-    let clock = bed.clock().clone();
-    let workflow = spec();
-    execute(plane, &clock, &workflow, payload.clone()).expect("warmup run");
-    let mut fresh = SchedResources::for_testbed(bed);
-    execute_concurrent(plane, &clock, &workflow, payload.clone(), &mut fresh)
-        .expect("uncontended run")
-        .total_latency_ns
 }
 
 /// One system's digest for one grid point (a single seed replica).
@@ -174,7 +131,9 @@ fn run_point(point: &SweepPoint, instances: usize, memo: bool) -> PointResult {
     let mut under_load = systems(&bed, colocated);
     let solos: Vec<Nanos> = under_load
         .iter_mut()
-        .map(|s| uncontended(s.plane.as_mut(), &bed, &payload))
+        .map(|s| {
+            uncontended(s.plane.as_mut(), &bed, &payload, SchedResources::for_testbed(&bed))
+        })
         .collect();
     let wasmedge_solo = under_load
         .iter()
@@ -245,19 +204,21 @@ fn fsecs(ns: f64) -> String {
     format!("{:.6}", ns / 1e9)
 }
 
-/// Renders one merged cell row: a system's seed replicas collapsed
-/// into across-seed means and CIs.
-#[allow(clippy::too_many_arguments)]
-fn cell_json(
-    label: &str,
-    policy: &str,
+/// What one merged cell row reports besides its replicas: the system,
+/// the (policy, payload, rate) regime, and the cell's shared baselines.
+struct CellRow<'a> {
+    label: &'a str,
+    policy: &'a str,
     payload_bytes: usize,
-    rate_label: &str,
+    rate_label: &'a str,
     mean_interval_ns: Nanos,
     uncontended_ns: Nanos,
     instances: usize,
-    replicas: &[&SystemRun],
-) -> String {
+}
+
+/// Renders one merged cell row: a system's seed replicas collapsed
+/// into across-seed means and CIs.
+fn cell_json(row: &CellRow<'_>, replicas: &[&SystemRun]) -> String {
     let digests: Vec<PercentileSummary> = replicas.iter().map(|r| r.digest).collect();
     let rep = replicate(&digests).expect("at least one seed");
     let stat = |pick: fn(&SystemRun) -> f64| {
@@ -281,14 +242,14 @@ fn cell_json(
             "\"max_s_mean\": {}, ",
             "\"cpu_util_mean\": {:.4}, \"link_util_mean\": {:.4}}}"
         ),
-        label,
-        policy,
-        payload_bytes as f64 / MB as f64,
-        rate_label,
-        secs(mean_interval_ns),
-        secs(uncontended_ns),
+        row.label,
+        row.policy,
+        row.payload_bytes as f64 / MB as f64,
+        row.rate_label,
+        secs(row.mean_interval_ns),
+        secs(row.uncontended_ns),
         replicas.len(),
-        instances,
+        row.instances,
         offered.mean,
         achieved.mean,
         achieved.ci_lo,
@@ -353,16 +314,16 @@ pub fn fig12_json(opts: &Fig12Options) -> String {
             let p95_mean = replicas.iter().map(|r| r.digest.p95_ns as f64).sum::<f64>()
                 / replicas.len() as f64;
             cell_stats.push((label, achieved_mean, p95_mean));
-            rows.push(cell_json(
+            let row = CellRow {
                 label,
-                &cell_point.policy,
-                cell_point.payload_bytes,
+                policy: &cell_point.policy,
+                payload_bytes: cell_point.payload_bytes,
                 rate_label,
                 mean_interval_ns,
                 uncontended_ns,
                 instances,
-                &replicas,
-            ));
+            };
+            rows.push(cell_json(&row, &replicas));
         }
         let rr = cell_stats.iter().find(|(l, ..)| *l == "roadrunner").unwrap();
         let we = cell_stats.iter().find(|(l, ..)| *l == "wasmedge").unwrap();

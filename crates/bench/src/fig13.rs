@@ -16,19 +16,17 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
 use roadrunner_baselines::coldstart::{
     container_cold_ns, wasm_cold_ns, CONTAINER_IMAGE_BYTES, PAPER_WASM_HELLO_BYTES,
 };
 use roadrunner_baselines::{RuncPair, WasmedgePair};
 use roadrunner_platform::{
-    execute, execute_concurrent, run_jobs, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop, DataPlane,
-    FunctionBundle, LoadRun, LocalityFirst, MemoizedPlane, PackThenSpill, PlacementPolicy,
-    SweepMode, WorkflowSpec,
+    run_jobs, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop, DataPlane, LoadRun,
+    LocalityFirst, MemoizedPlane, OverloadConfig, PackThenSpill, PlacementPolicy, SweepMode,
 };
 use roadrunner_vkernel::{secs, ClusterSpec, Nanos, SchedResources, Testbed};
-use roadrunner_wasm::encode;
 
+use crate::pipeline::{roadrunner_plane, spec, uncontended};
 use crate::MB;
 
 /// Fixed-capacity (and autoscaler-minimum) active node count. Shared
@@ -58,39 +56,6 @@ pub(crate) fn cluster() -> Arc<Testbed> {
     Arc::new(ClusterSpec::homogeneous(MAX_NODES, CORES, 8 << 30).build())
 }
 
-pub(crate) fn spec() -> WorkflowSpec {
-    WorkflowSpec::sequence(
-        "pipeline",
-        "bench",
-        ["src".to_owned(), "relay".to_owned(), "sink".to_owned()],
-    )
-}
-
-fn rr_bundle(name: &str, module: roadrunner_wasm::Module) -> Arc<FunctionBundle> {
-    Arc::new(
-        FunctionBundle::wasm(name, encode::encode(&module))
-            .with_workflow("fig13")
-            .with_tenant("bench"),
-    )
-}
-
-/// Deploys the Roadrunner pipeline co-located on node 0 (kernel-space
-/// edges — the regime the packing policies reproduce per instance).
-fn roadrunner_plane(bed: &Arc<Testbed>) -> RoadrunnerPlane {
-    let mut plane =
-        RoadrunnerPlane::new(Arc::clone(bed), ShimConfig::default().with_load_costs(false));
-    plane
-        .deploy(0, "src", rr_bundle("src", guest::producer()), "produce", false)
-        .expect("deploy src");
-    plane
-        .deploy(0, "relay", rr_bundle("relay", guest::relay()), "relay", false)
-        .expect("deploy relay");
-    plane
-        .deploy(0, "sink", rr_bundle("sink", guest::consumer()), "consume", true)
-        .expect("deploy sink");
-    plane
-}
-
 pub(crate) struct SystemUnderLoad {
     pub(crate) label: &'static str,
     pub(crate) plane: Box<dyn DataPlane>,
@@ -101,8 +66,9 @@ pub(crate) struct SystemUnderLoad {
     pub(crate) cold_ns: Nanos,
 }
 
-/// The three systems, co-located, warmed, with their solo makespans
-/// measured on a fresh two-node mesh.
+/// The three systems, co-located on node 0 (for Roadrunner: kernel-space
+/// edges — the regime the packing policies reproduce per instance),
+/// warmed, with their solo makespans measured on a fresh two-node mesh.
 pub(crate) fn systems(bed: &Arc<Testbed>, payload: &Bytes) -> Vec<SystemUnderLoad> {
     let cost = bed.cost();
     let wasm_cold = wasm_cold_ns(cost, PAPER_WASM_HELLO_BYTES);
@@ -110,7 +76,7 @@ pub(crate) fn systems(bed: &Arc<Testbed>, payload: &Bytes) -> Vec<SystemUnderLoa
     let mut out = vec![
         SystemUnderLoad {
             label: "roadrunner",
-            plane: Box::new(roadrunner_plane(bed)),
+            plane: Box::new(roadrunner_plane(bed, [0, 0, 0], "fig13")),
             solo_ns: 0,
             cold_ns: wasm_cold,
         },
@@ -128,23 +94,10 @@ pub(crate) fn systems(bed: &Arc<Testbed>, payload: &Bytes) -> Vec<SystemUnderLoa
         },
     ];
     for system in &mut out {
-        system.solo_ns = uncontended(system.plane.as_mut(), bed, payload);
+        let fresh = SchedResources::mesh(&[CORES; START_NODES]);
+        system.solo_ns = uncontended(system.plane.as_mut(), bed, payload, fresh);
     }
     out
-}
-
-/// Uncontended concurrent makespan of one instance on a fresh, empty
-/// two-node mesh. The plane is warmed first (one discarded serial run)
-/// so lazy connection establishment is excluded from every measured
-/// comparison.
-fn uncontended(plane: &mut dyn DataPlane, bed: &Arc<Testbed>, payload: &Bytes) -> Nanos {
-    let clock = bed.clock().clone();
-    let workflow = spec();
-    execute(plane, &clock, &workflow, payload.clone()).expect("warmup run");
-    let mut fresh = SchedResources::mesh(&[CORES; START_NODES]);
-    execute_concurrent(plane, &clock, &workflow, payload.clone(), &mut fresh)
-        .expect("uncontended run")
-        .total_latency_ns
 }
 
 fn policy_of(name: &str, solo_ns: Nanos) -> Box<dyn PlacementPolicy> {
@@ -201,20 +154,27 @@ fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, j
     } else {
         system.plane.as_mut()
     };
-    let run = if autoscaled {
-        let mut scaler = Autoscaler::new(AutoscalerConfig {
+    let mut scaler = autoscaled.then(|| {
+        Autoscaler::new(AutoscalerConfig {
             min_nodes: START_NODES,
             max_nodes: MAX_NODES,
             node_cores: CORES,
             scale_up_backlog_ns: solo / 2,
             scale_down_backlog_ns: solo / 16,
             window_ns: (solo / 4).max(1),
-        });
-        load.run_elastic(plane, &clock, &mut resources, policy.as_mut(), Some(&mut scaler))
-    } else {
-        load.run(plane, &clock, &mut resources, policy.as_mut())
-    }
-    .expect("closed-loop run");
+        })
+    });
+    let run = load
+        .run_overloaded(
+            plane,
+            &clock,
+            &mut resources,
+            policy.as_mut(),
+            scaler.as_mut(),
+            None,
+            &OverloadConfig::default(),
+        )
+        .expect("closed-loop run");
     assert_eq!(run.outcomes.len(), users * rounds, "every instance must complete");
     run
 }

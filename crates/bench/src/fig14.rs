@@ -40,13 +40,14 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use roadrunner_platform::{
-    run_jobs, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop, DataPlane, FailurePlan, LoadRun,
-    LocalityFirst, MemoizedPlane, PlacementPolicy, RetryPolicy, ScaleAction, SpreadLoad,
-    SweepMode,
+    run_jobs, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop, DataPlane, FailurePlan,
+    LoadRun, LocalityFirst, MemoizedPlane, OverloadConfig, PlacementPolicy, RetryPolicy,
+    ScaleAction, SpreadLoad, SweepMode,
 };
 use roadrunner_vkernel::{secs, Nanos, OutageSchedule, SchedResources, Testbed};
 
-use crate::fig13::{cluster, spec, systems, SystemUnderLoad, CORES, START_NODES};
+use crate::fig13::{cluster, systems, SystemUnderLoad, CORES, START_NODES};
+use crate::pipeline::spec;
 use crate::MB;
 
 /// Autoscaler ceiling for the elastic kill cell.
@@ -225,25 +226,7 @@ fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, j
     } else {
         system.plane.as_mut()
     };
-    let run = if job.scenario == Scenario::KillElastic {
-        let solo = system.solo_ns;
-        let mut scaler = Autoscaler::new(AutoscalerConfig {
-            min_nodes: START_NODES,
-            max_nodes: MAX_NODES,
-            node_cores: CORES,
-            scale_up_backlog_ns: solo / 2,
-            scale_down_backlog_ns: solo / 16,
-            window_ns: (solo / 4).max(1),
-        });
-        shape.load.run_with_failures(
-            plane,
-            &clock,
-            &mut resources,
-            policy.as_mut(),
-            Some(&mut scaler),
-            plan.as_ref(),
-        )
-    } else if job.scenario == Scenario::Baseline {
+    if job.scenario == Scenario::Baseline {
         // The in-process identity check: the plain engine and the
         // fault-aware engine under an empty plan must produce the same
         // run, outcome for outcome.
@@ -257,7 +240,15 @@ fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, j
         assert!(empty.is_empty(), "the baseline plan must inject nothing");
         let faulty = shape
             .load
-            .run_with_failures(plane, &clock, &mut fresh, fresh_policy.as_mut(), None, Some(empty))
+            .run_overloaded(
+                plane,
+                &clock,
+                &mut fresh,
+                fresh_policy.as_mut(),
+                None,
+                Some(empty),
+                &OverloadConfig::default(),
+            )
             .expect("empty-plan run");
         assert_eq!(plain.outcomes.len(), faulty.outcomes.len());
         for (a, b) in plain.outcomes.iter().zip(&faulty.outcomes) {
@@ -270,18 +261,30 @@ fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, j
         }
         assert_eq!((faulty.failed, faulty.retries), (0, 0));
         return plain;
-    } else {
-        shape.load.run_with_failures(
+    }
+    let mut scaler = (job.scenario == Scenario::KillElastic).then(|| {
+        let solo = system.solo_ns;
+        Autoscaler::new(AutoscalerConfig {
+            min_nodes: START_NODES,
+            max_nodes: MAX_NODES,
+            node_cores: CORES,
+            scale_up_backlog_ns: solo / 2,
+            scale_down_backlog_ns: solo / 16,
+            window_ns: (solo / 4).max(1),
+        })
+    });
+    shape
+        .load
+        .run_overloaded(
             plane,
             &clock,
             &mut resources,
             policy.as_mut(),
-            None,
+            scaler.as_mut(),
             plan.as_ref(),
+            &OverloadConfig::default(),
         )
-    }
-    .expect("closed-loop run");
-    run
+        .expect("closed-loop run")
 }
 
 /// One cell's merged result: the three systems' runs plus derived

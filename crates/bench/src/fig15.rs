@@ -45,12 +45,13 @@ use roadrunner_baselines::coldstart::{
 };
 use roadrunner_platform::{
     percentiles_sorted, run_jobs, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop,
-    KeepAlive, LoadRun, LocalityFirst, MemoizedPlane, PercentileSummary,
+    KeepAlive, LoadRun, LocalityFirst, MemoizedPlane, OverloadConfig, PercentileSummary,
     PrewarmConfig, ScaleAction, SweepMode, WarmPoolConfig,
 };
 use roadrunner_vkernel::{secs, CostModel, Nanos, SchedResources, Testbed};
 
-use crate::fig13::{cluster, spec, systems, SystemUnderLoad, CORES, START_NODES};
+use crate::fig13::{cluster, systems, SystemUnderLoad, CORES, START_NODES};
+use crate::pipeline::spec;
 use crate::MB;
 
 /// The warm-pool p99 at burst peak must beat `no_pool` by at least this
@@ -143,10 +144,10 @@ fn run_cell(
     let mut resources = SchedResources::mesh(&[CORES; START_NODES]);
     let clock = bed.clock().clone();
     let mut plane = MemoizedPlane::new(system.plane.as_mut(), clock.clone());
-    let run = if policy == "hybrid_prewarm" {
-        // The node controller is pinned (min = max): only the prewarm
-        // side of the autoscaler acts, staffing the pool predictively.
-        let mut scaler = Autoscaler::new(AutoscalerConfig {
+    // The node controller is pinned (min = max): only the prewarm side
+    // of the autoscaler acts, staffing the pool predictively.
+    let mut scaler = (policy == "hybrid_prewarm").then(|| {
+        Autoscaler::new(AutoscalerConfig {
             min_nodes: START_NODES,
             max_nodes: START_NODES,
             node_cores: CORES,
@@ -160,12 +161,19 @@ fn run_cell(
             headroom: 2.0,
             lead_ns: solo.max(1),
             window_ns: solo.max(1),
-        });
-        load.run_elastic(&mut plane, &clock, &mut resources, &mut placement, Some(&mut scaler))
-    } else {
-        load.run(&mut plane, &clock, &mut resources, &mut placement)
-    }
-    .expect("bursty closed-loop run");
+        })
+    });
+    let run = load
+        .run_overloaded(
+            &mut plane,
+            &clock,
+            &mut resources,
+            &mut placement,
+            scaler.as_mut(),
+            None,
+            &OverloadConfig::default(),
+        )
+        .expect("bursty closed-loop run");
     assert_eq!(run.outcomes.len(), users * rounds, "every instance must complete");
     run
 }

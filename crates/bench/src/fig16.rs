@@ -379,6 +379,7 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
 
 fn cell_json(result: &CellResult) -> String {
     let run = &result.run;
+    let digest = run.sojourn_percentiles();
     let pct = |p: Option<roadrunner_platform::PercentileSummary>, f: fn(&roadrunner_platform::PercentileSummary) -> Nanos| {
         p.map_or("null".to_owned(), |d| format!("{:.6}", secs(f(&d))))
     };
@@ -411,9 +412,9 @@ fn cell_json(result: &CellResult) -> String {
         run.deadline_exceeded,
         run.shed,
         run.retries,
-        pct(run.sojourn_percentiles(), |d| d.p50_ns),
-        pct(run.sojourn_percentiles(), |d| d.p95_ns),
-        pct(run.sojourn_percentiles(), |d| d.p99_ns),
+        pct(digest, |d| d.p50_ns),
+        pct(digest, |d| d.p95_ns),
+        pct(digest, |d| d.p99_ns),
         goodput(|g| g.0),
         goodput(|g| g.1),
         if result.job.cell.is_fair() { tenant_p95("interactive") } else { "null".to_owned() },

@@ -17,6 +17,7 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fig16;
+pub mod pipeline;
 
 use std::sync::Arc;
 
@@ -24,10 +25,10 @@ use bytes::Bytes;
 use roadrunner_platform::{available_workers, SweepMode};
 use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
 use roadrunner_baselines::{RuncPair, WasmedgePair};
-use roadrunner_platform::FunctionBundle;
 use roadrunner_serial::payload::{Payload, PayloadKind};
 use roadrunner_vkernel::{secs, Nanos, Testbed};
-use roadrunner_wasm::encode;
+
+use crate::pipeline::rr_bundle;
 
 /// One megabyte.
 pub const MB: usize = 1_000_000;
@@ -156,14 +157,6 @@ fn pct(cpu: Nanos, window: Nanos, cores: u32) -> f64 {
     cpu as f64 / (window as f64 * cores as f64) * 100.0
 }
 
-fn rr_bundle(name: &str, module: roadrunner_wasm::Module) -> Arc<FunctionBundle> {
-    Arc::new(
-        FunctionBundle::wasm(name, encode::encode(&module))
-            .with_workflow("eval")
-            .with_tenant("bench"),
-    )
-}
-
 /// Sums CPU/RAM telemetry over every sandbox of a testbed. RAM peaks are
 /// summed: the paper's panels report the memory footprint of the whole
 /// deployed workflow, and the baselines pay the state + serialized-copy
@@ -269,17 +262,23 @@ fn measure_roadrunner(system: System, bed: Arc<Testbed>, payload: &Payload) -> M
         ShimConfig::default().with_load_costs(false),
     );
     plane
-        .deploy(0, "a", rr_bundle("a", guest::producer()), "produce", false)
+        .deploy(0, "a", rr_bundle("a", guest::producer(), "eval"), "produce", false)
         .expect("deploy a");
     match system {
         System::RoadrunnerUser => plane
-            .deploy_into_shared_vm("a", "b", rr_bundle("b", guest::consumer()), "consume", true)
+            .deploy_into_shared_vm(
+                "a",
+                "b",
+                rr_bundle("b", guest::consumer(), "eval"),
+                "consume",
+                true,
+            )
             .expect("deploy b"),
         System::RoadrunnerKernel => plane
-            .deploy(0, "b", rr_bundle("b", guest::consumer()), "consume", true)
+            .deploy(0, "b", rr_bundle("b", guest::consumer(), "eval"), "consume", true)
             .expect("deploy b"),
         System::RoadrunnerNetwork => plane
-            .deploy(1, "b", rr_bundle("b", guest::consumer()), "consume", true)
+            .deploy(1, "b", rr_bundle("b", guest::consumer(), "eval"), "consume", true)
             .expect("deploy b"),
         _ => unreachable!("baseline systems handled elsewhere"),
     }
@@ -395,11 +394,11 @@ pub fn measure_fanout(system: System, degree: usize, bytes: usize, intra: bool) 
                 ShimConfig::default().with_load_costs(false),
             );
             plane
-                .deploy(0, "a", rr_bundle("a", guest::producer()), "produce", false)
+                .deploy(0, "a", rr_bundle("a", guest::producer(), "eval"), "produce", false)
                 .expect("deploy a");
             for i in 0..degree {
                 let name = format!("b{i}");
-                let bundle = rr_bundle(&name, guest::consumer());
+                let bundle = rr_bundle(&name, guest::consumer(), "eval");
                 match system {
                     System::RoadrunnerUser => plane
                         .deploy_into_shared_vm("a", &name, bundle, "consume", true)

@@ -7,7 +7,7 @@
 //! drift silently. If a change is *supposed* to move these numbers,
 //! update the constants in the same commit and say why.
 //!
-//! The pinned claims (paper §6.3, DESIGN.md §7):
+//! The pinned claims (paper §6.3, DESIGN.md §8):
 //! * intra-node ordering: user space < kernel space < RunC < WasmEdge;
 //! * Roadrunner (Kernel space) lands ~12–13 % below RunC;
 //! * Roadrunner's serialization-path work is payload-size-independent

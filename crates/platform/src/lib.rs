@@ -15,17 +15,21 @@
 //!   edges, cycle/connectivity validation) generalizing the paper's
 //!   sequence/fan-out/fan-in shapes.
 //! * [`workflow`] — the execution engines over a pluggable
-//!   [`workflow::DataPlane`]: a serial engine and a discrete-event
-//!   concurrent engine that overlaps independent edges in virtual time,
-//!   both with [`workflow::CompiledWorkflow`] fast paths that hoist
-//!   validation and topological sorting out of the per-execution loop.
+//!   [`workflow::DataPlane`]: a serial engine ([`workflow::execute`]) and
+//!   a discrete-event concurrent engine ([`workflow::execute_concurrent`])
+//!   that overlaps independent edges in virtual time, both with
+//!   [`workflow::CompiledWorkflow`] fast paths
+//!   ([`workflow::execute_compiled`], [`workflow::execute_compiled_at`])
+//!   that hoist validation and topological sorting out of the
+//!   per-execution loop.
 //! * [`memo`] — [`memo::MemoizedPlane`], a deterministic transfer-cost
 //!   memo over any [`workflow::DataPlane`]: identical edges replay their
 //!   recorded outcome (bytes, timing, virtual-clock advance) instead of
 //!   recomputing codec and cost-model work.
 //! * [`loadgen`] — multi-tenant load generation and the elastic control
-//!   loop: open- and closed-loop drivers over one completion-event
-//!   engine, instances placed per arrival by a
+//!   loop: open-loop, closed-loop and multi-tenant drivers over one
+//!   completion-event engine (each with a plain `run` and a full-stack
+//!   `run_overloaded`), instances placed per arrival by a
 //!   [`scheduler::PlacementPolicy`] observing the live
 //!   [`ResourceView`](roadrunner_vkernel::ResourceView), optional
 //!   cold-start admission, and a backlog-driven [`loadgen::Autoscaler`]
@@ -91,8 +95,8 @@ pub use deploy::{DeployedFunction, Deployment};
 pub use error::PlatformError;
 pub use loadgen::{
     ArrivalProcess, Autoscaler, AutoscalerConfig, ClosedLoop, FailurePlan, InstanceOutcome,
-    LoadRun, MultiLoad, NodeKill, OpenLoop, Placed, PrewarmConfig, ScaleAction, ScaleEvent,
-    TenantLoad, TenantStats,
+    LoadRun, MultiLoad, NodeKill, OpenLoop, PrewarmConfig, ScaleAction, ScaleEvent, TenantLoad,
+    TenantStats,
 };
 pub use warmpool::{AdmissionConfig, Admitted, KeepAlive, PoolStats, WarmPool, WarmPoolConfig};
 pub use metrics::{
@@ -113,7 +117,7 @@ pub use sweep::{
     available_workers, parallel_map, run_jobs, sweep, SweepGrid, SweepMode, SweepPoint,
 };
 pub use workflow::{
-    critical_path_ns, execute, execute_compiled, execute_compiled_at, execute_compiled_faulty_at,
-    execute_concurrent, execute_concurrent_at, CompiledWorkflow, DataPlane, EdgeFailure,
-    EdgeResult, FaultyOutcome, RetryPolicy, TransferTiming, WorkflowRun, WorkflowSpec,
+    critical_path_ns, execute, execute_compiled, execute_compiled_at, execute_concurrent,
+    CompiledWorkflow, DataPlane, EdgeResult, RetryPolicy, TransferTiming, WorkflowRun,
+    WorkflowSpec,
 };

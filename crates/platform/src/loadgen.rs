@@ -7,15 +7,14 @@
 //! live [`ResourceView`] snapshot, asks the [`PlacementPolicy`] where the
 //! instance goes, charges an optional cold start for functions landing on
 //! a node for the first time, and executes the instance at its release
-//! time via [`execute_compiled_at`](crate::workflow::execute_compiled_at)
-//! (the spec is compiled **once per
-//! run**, not once per arrival) — so every in-flight instance
+//! time on the concurrent workflow engine (the spec is compiled **once
+//! per run**, not once per arrival) — so every in-flight instance
 //! contends for the same per-node core lanes and per-pair links in
 //! virtual time. Completion events close the loop: they gate the next
 //! arrival of a closed-loop user and give the [`Autoscaler`] its
 //! observation points.
 //!
-//! Two drivers share the engine:
+//! Three drivers share the engine:
 //!
 //! * [`OpenLoop`] — arrivals do not wait for completions (the classic
 //!   serverless traffic model — users do not coordinate), so offered
@@ -25,6 +24,14 @@
 //!   flight: a user's next arrival fires only after its previous
 //!   instance completed plus a think time. Saturation throughput is
 //!   measured directly instead of read off the achieved-vs-offered gap.
+//! * [`MultiLoad`] — several tenants' explicit release traces
+//!   interleaved onto the same timelines, each in its own admission
+//!   lane.
+//!
+//! Each driver has exactly two entry points: `run`, with every optional
+//! layer off, and `run_overloaded`, which takes the [`Autoscaler`], the
+//! [`FailurePlan`] and the [`OverloadConfig`]. `run` is
+//! `run_overloaded(None, None, &OverloadConfig::default())`.
 //!
 //! Admission is FIFO in arrival order: an earlier instance's
 //! reservations are placed before a later instance's, the discipline of
@@ -127,52 +134,20 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// A [`DataPlane`] wrapper that overrides placement per workflow
 /// instance — how a [`PlacementPolicy`]'s decision reaches the engine.
 ///
-/// Transfers (and therefore costs and payload bytes) still go through
-/// the wrapped plane; only [`DataPlane::placement`] answers from the
-/// policy's assignment, so the instance's phases land on the scheduler
-/// timelines of the nodes the policy chose.
-pub struct Placed<'a> {
+/// Borrows the run-wide function-name list (interned once per run, not
+/// once per instance) and the policy's assignment for this instance:
+/// `function`'s position in `names` indexes `nodes`, and unlisted
+/// functions fall back to the wrapped plane's own placement. Transfers
+/// (and therefore costs and payload bytes) still go through the wrapped
+/// plane, so the instance's phases land on the scheduler timelines of
+/// the nodes the policy chose.
+struct InstancePlane<'a, 'b> {
     inner: &'a mut dyn DataPlane,
-    names: Vec<String>,
-    nodes: Vec<usize>,
+    names: &'b [String],
+    nodes: &'b [usize],
 }
 
-impl<'a> Placed<'a> {
-    /// Wraps `inner`, mapping `spec`'s functions (in DAG node order) to
-    /// `assignment`'s nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment` does not cover every function of `spec`.
-    pub fn new(inner: &'a mut dyn DataPlane, spec: &WorkflowSpec, assignment: &[usize]) -> Self {
-        let names: Vec<String> = spec.functions().iter().map(|&f| f.to_owned()).collect();
-        assert_eq!(
-            names.len(),
-            assignment.len(),
-            "assignment must cover every function of the workflow"
-        );
-        Self { inner, names, nodes: assignment.to_vec() }
-    }
-}
-
-/// The one definition of assignment-override placement resolution,
-/// shared by [`Placed`] and the engine-internal [`InstancePlane`]:
-/// `function`'s position in `names` indexes `nodes`; unlisted functions
-/// fall back to the wrapped plane's own placement.
-fn assigned_placement(
-    names: &[String],
-    nodes: &[usize],
-    inner: &dyn DataPlane,
-    function: &str,
-) -> Option<usize> {
-    names
-        .iter()
-        .position(|n| n == function)
-        .map(|i| nodes[i])
-        .or_else(|| inner.placement(function))
-}
-
-impl DataPlane for Placed<'_> {
+impl DataPlane for InstancePlane<'_, '_> {
     fn transfer(&mut self, from: &str, to: &str, payload: Bytes) -> Result<Bytes, PlatformError> {
         self.transfer_detailed(from, to, payload).map(|(received, _)| received)
     }
@@ -192,57 +167,12 @@ impl DataPlane for Placed<'_> {
         self.inner.transfer_placed(from, to, payload, src, dst)
     }
 
-    fn transfer_placed(
-        &mut self,
-        from: &str,
-        to: &str,
-        payload: Bytes,
-        src_node: Option<usize>,
-        dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-        let src = src_node.or_else(|| self.placement(from));
-        let dst = dst_node.or_else(|| self.placement(to));
-        self.inner.transfer_placed(from, to, payload, src, dst)
-    }
-
     fn placement(&self, function: &str) -> Option<usize> {
-        assigned_placement(&self.names, &self.nodes, self.inner, function)
-    }
-
-    fn set_health_epoch(&mut self, epoch: u64) {
-        self.inner.set_health_epoch(epoch);
-    }
-}
-
-/// The engine-internal, allocation-free sibling of [`Placed`]: borrows
-/// the run-wide function-name list (computed once per run, not once per
-/// instance) and the policy's assignment for this instance.
-struct InstancePlane<'a, 'b> {
-    inner: &'a mut dyn DataPlane,
-    names: &'b [String],
-    nodes: &'b [usize],
-}
-
-impl DataPlane for InstancePlane<'_, '_> {
-    fn transfer(&mut self, from: &str, to: &str, payload: Bytes) -> Result<Bytes, PlatformError> {
-        self.transfer_detailed(from, to, payload).map(|(received, _)| received)
-    }
-
-    fn transfer_detailed(
-        &mut self,
-        from: &str,
-        to: &str,
-        payload: Bytes,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-        // Same placement-aware routing as [`Placed`]: the instance's
-        // assignment decides the mode, not the deployment's.
-        let src = self.placement(from);
-        let dst = self.placement(to);
-        self.inner.transfer_placed(from, to, payload, src, dst)
-    }
-
-    fn placement(&self, function: &str) -> Option<usize> {
-        assigned_placement(self.names, self.nodes, self.inner, function)
+        self.names
+            .iter()
+            .position(|n| n == function)
+            .map(|i| self.nodes[i])
+            .or_else(|| self.inner.placement(function))
     }
 }
 
@@ -450,13 +380,6 @@ pub struct LoadRun {
     /// Warm-pool accounting (hits, misses, restores, evictions,
     /// prewarms, idle residency); `None` without pooled admission.
     pub pool: Option<PoolStats>,
-    /// Lazily sorted sojourn sample, so repeated percentile queries below
-    /// the streaming threshold sort the run once instead of per call.
-    /// Filled on the first [`sojourn_percentiles`](Self::sojourn_percentiles)
-    /// call; callers that mutate `outcomes` afterwards (the engine never
-    /// does) must treat the run as a new value — clone before mutating —
-    /// or the cached digest goes stale.
-    sorted_sojourns: std::sync::OnceLock<Vec<Nanos>>,
 }
 
 /// Instance-count threshold above which [`LoadRun::sojourn_percentiles`]
@@ -500,32 +423,28 @@ impl LoadRun {
     /// Sojourn-time percentile digest; `None` for an empty run. Uses the
     /// exact nearest-rank path below [`STREAMING_DIGEST_MIN`] instances
     /// and the streaming P² estimator at or above it (large runs would
-    /// otherwise sort a full copy per call). The exact path caches its
-    /// sorted sample in the run, so the second and later queries are
-    /// rank lookups, not fresh sorts.
+    /// otherwise sort a full copy). Each call recomputes the digest, so
+    /// callers querying one run repeatedly bind the result once.
     pub fn sojourn_percentiles(&self) -> Option<PercentileSummary> {
         // Failed and deadline-exceeded instances never delivered: their
         // time-in-system is not a sojourn, so the digest covers
         // completed instances only (everything, in a run without
         // failures).
+        let sojourns = self
+            .outcomes
+            .iter()
+            .filter(|o| !o.failed && !o.deadline_exceeded)
+            .map(|o| o.sojourn_ns);
         if self.completed() >= STREAMING_DIGEST_MIN {
             let mut digest = StreamingPercentiles::new();
-            for o in self.outcomes.iter().filter(|o| !o.failed && !o.deadline_exceeded) {
-                digest.record(o.sojourn_ns);
+            for sojourn in sojourns {
+                digest.record(sojourn);
             }
             digest.summary()
         } else {
-            let sorted = self.sorted_sojourns.get_or_init(|| {
-                let mut sojourns: Vec<Nanos> = self
-                    .outcomes
-                    .iter()
-                    .filter(|o| !o.failed && !o.deadline_exceeded)
-                    .map(|o| o.sojourn_ns)
-                    .collect();
-                sojourns.sort_unstable();
-                sojourns
-            });
-            percentiles_sorted(sorted)
+            let mut sorted: Vec<Nanos> = sojourns.collect();
+            sorted.sort_unstable();
+            percentiles_sorted(&sorted)
         }
     }
 
@@ -668,10 +587,11 @@ impl MultiLoad {
         self.run_overloaded(plane, clock, resources, policy, None, None, &OverloadConfig::default())
     }
 
-    /// [`run`](Self::run) with the full stack in the loop: optional
-    /// autoscaler, optional failure plan, and the overload-control
-    /// configuration (deadlines, retry budgets, breakers, bounded
-    /// queues with weighted-fair shedding).
+    /// [`run`](Self::run) with the full stack in the loop (see
+    /// [`OpenLoop::run_overloaded`]): optional autoscaler, optional
+    /// failure plan, and the overload-control configuration (deadlines,
+    /// retry budgets, breakers, bounded queues with weighted-fair
+    /// shedding).
     ///
     /// # Errors
     ///
@@ -706,17 +626,10 @@ impl MultiLoad {
                 weight: t.weight.max(1),
             })
             .collect();
-        drive(
+        Engine::new(plane, clock, resources, policy, autoscaler, failures, overload).drive(
             &work,
             Admission::Multi { releases },
             &self.admission,
-            plane,
-            clock,
-            resources,
-            policy,
-            autoscaler,
-            failures,
-            overload,
         )
     }
 }
@@ -741,7 +654,8 @@ pub struct OpenLoop {
 
 impl OpenLoop {
     /// Admits the workload onto `resources`, placing each instance with
-    /// `policy` and driving every edge through `plane`.
+    /// `policy` and driving every edge through `plane`, with every
+    /// optional layer (autoscaler, failures, overload control) off.
     ///
     /// `resources` is *not* reset: callers own the timescale and may
     /// pre-load it (e.g. with background traffic). Utilizations are
@@ -758,65 +672,26 @@ impl OpenLoop {
         resources: &mut SchedResources,
         policy: &mut dyn PlacementPolicy,
     ) -> Result<LoadRun, PlatformError> {
-        self.run_elastic(plane, clock, resources, policy, None)
+        self.run_overloaded(plane, clock, resources, policy, None, None, &OverloadConfig::default())
     }
 
-    /// [`run`](Self::run) with an [`Autoscaler`] in the loop: capacity
-    /// grows and shrinks between instances as the controller reacts to
-    /// the live backlog signal.
+    /// [`run`](Self::run) with the full stack in the loop:
     ///
-    /// # Errors
+    /// * an [`Autoscaler`] grows and shrinks capacity between instances
+    ///   as it reacts to the live backlog signal;
+    /// * a [`FailurePlan`] makes the run fallible — outages reject
+    ///   reservations, edges retry with backoff, dead nodes are removed
+    ///   (and, with an autoscaler, replaced);
+    /// * an [`OverloadConfig`] adds deadlines, retry budgets, circuit
+    ///   breakers and bounded-queue shedding.
     ///
-    /// Propagates the first validation or transfer error.
-    pub fn run_elastic(
-        &self,
-        plane: &mut dyn DataPlane,
-        clock: &VirtualClock,
-        resources: &mut SchedResources,
-        policy: &mut dyn PlacementPolicy,
-        autoscaler: Option<&mut Autoscaler>,
-    ) -> Result<LoadRun, PlatformError> {
-        self.run_with_failures(plane, clock, resources, policy, autoscaler, None)
-    }
-
-    /// [`run_elastic`](Self::run_elastic) under a [`FailurePlan`]:
-    /// outages reject reservations, edges retry with backoff, dead
-    /// nodes are removed (and, with an autoscaler, replaced). With
-    /// `None` — or an empty plan — the run is byte-identical to
-    /// [`run_elastic`](Self::run_elastic).
+    /// `None`, an empty plan and the default (all-off) config each leave
+    /// the run byte-identical to [`run`](Self::run).
     ///
     /// # Errors
     ///
     /// Propagates the first validation or non-fault transfer error;
     /// outage-induced failures become failed outcomes, not errors.
-    pub fn run_with_failures(
-        &self,
-        plane: &mut dyn DataPlane,
-        clock: &VirtualClock,
-        resources: &mut SchedResources,
-        policy: &mut dyn PlacementPolicy,
-        autoscaler: Option<&mut Autoscaler>,
-        failures: Option<&FailurePlan>,
-    ) -> Result<LoadRun, PlatformError> {
-        self.run_overloaded(
-            plane,
-            clock,
-            resources,
-            policy,
-            autoscaler,
-            failures,
-            &OverloadConfig::default(),
-        )
-    }
-
-    /// [`run_with_failures`](Self::run_with_failures) under an
-    /// [`OverloadConfig`]: deadlines, retry budgets, circuit breakers
-    /// and bounded-queue shedding. The default (all-off) config is
-    /// byte-identical to [`run_with_failures`](Self::run_with_failures).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first validation or non-fault transfer error.
     #[allow(clippy::too_many_arguments)]
     pub fn run_overloaded(
         &self,
@@ -834,20 +709,13 @@ impl OpenLoop {
             payload: &self.payload,
             weight: 1,
         }];
-        drive(
+        Engine::new(plane, clock, resources, policy, autoscaler, failures, overload).drive(
             &work,
             Admission::Open {
                 releases: self.arrivals.times(self.instances),
                 mean_interval_ns: self.arrivals.mean_interval_ns(),
             },
             &self.admission,
-            plane,
-            clock,
-            resources,
-            policy,
-            autoscaler,
-            failures,
-            overload,
         )
     }
 }
@@ -885,8 +753,8 @@ pub struct ClosedLoop {
 }
 
 impl ClosedLoop {
-    /// Drives the closed loop onto `resources` (see [`OpenLoop::run`]
-    /// for the sharing semantics).
+    /// Drives the closed loop onto `resources` with every optional
+    /// layer off (see [`OpenLoop::run`] for the sharing semantics).
     ///
     /// # Errors
     ///
@@ -898,56 +766,13 @@ impl ClosedLoop {
         resources: &mut SchedResources,
         policy: &mut dyn PlacementPolicy,
     ) -> Result<LoadRun, PlatformError> {
-        self.run_elastic(plane, clock, resources, policy, None)
+        self.run_overloaded(plane, clock, resources, policy, None, None, &OverloadConfig::default())
     }
 
-    /// [`run`](Self::run) with an [`Autoscaler`] in the loop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first validation or transfer error.
-    pub fn run_elastic(
-        &self,
-        plane: &mut dyn DataPlane,
-        clock: &VirtualClock,
-        resources: &mut SchedResources,
-        policy: &mut dyn PlacementPolicy,
-        autoscaler: Option<&mut Autoscaler>,
-    ) -> Result<LoadRun, PlatformError> {
-        self.run_with_failures(plane, clock, resources, policy, autoscaler, None)
-    }
-
-    /// [`run_elastic`](Self::run_elastic) under a [`FailurePlan`] (see
-    /// [`OpenLoop::run_with_failures`]). Failed instances still re-arm
+    /// [`run`](Self::run) with the full stack in the loop (see
+    /// [`OpenLoop::run_overloaded`]). Failed instances still re-arm
     /// their virtual user — a closed-loop client retries elsewhere
     /// after an error page, it does not stop existing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first validation or non-fault transfer error.
-    pub fn run_with_failures(
-        &self,
-        plane: &mut dyn DataPlane,
-        clock: &VirtualClock,
-        resources: &mut SchedResources,
-        policy: &mut dyn PlacementPolicy,
-        autoscaler: Option<&mut Autoscaler>,
-        failures: Option<&FailurePlan>,
-    ) -> Result<LoadRun, PlatformError> {
-        self.run_overloaded(
-            plane,
-            clock,
-            resources,
-            policy,
-            autoscaler,
-            failures,
-            &OverloadConfig::default(),
-        )
-    }
-
-    /// [`run_with_failures`](Self::run_with_failures) under an
-    /// [`OverloadConfig`] (see [`OpenLoop::run_overloaded`]). The
-    /// default (all-off) config is byte-identical.
     ///
     /// # Errors
     ///
@@ -970,7 +795,7 @@ impl ClosedLoop {
             payload: &self.payload,
             weight: 1,
         }];
-        drive(
+        Engine::new(plane, clock, resources, policy, autoscaler, failures, overload).drive(
             &work,
             Admission::Closed {
                 users: self.users,
@@ -979,18 +804,11 @@ impl ClosedLoop {
                 instances: self.instances,
             },
             &self.admission,
-            plane,
-            clock,
-            resources,
-            policy,
-            autoscaler,
-            failures,
-            overload,
         )
     }
 }
 
-/// One tenant's share of a [`drive`] call: the spec/payload to run and
+/// One tenant's share of an [`Engine::drive`] call: the spec/payload to run and
 /// the fair-share weight. Single-tenant drivers pass exactly one.
 struct TenantWork<'a> {
     name: &'a str,
@@ -1136,592 +954,551 @@ struct Lane<'a> {
     queued: VecDeque<(usize, Nanos)>,
 }
 
-/// The run-wide mutable counters threaded through [`start_instance`].
-struct Counters {
+/// The completion-event engine behind [`OpenLoop`], [`ClosedLoop`] and
+/// [`MultiLoad`]: the run-wide stack every driver hands in, plus the
+/// per-run state the event loop and [`start_instance`](Self::start_instance)
+/// share.
+struct Engine<'r> {
+    plane: &'r mut dyn DataPlane,
+    clock: &'r VirtualClock,
+    resources: &'r mut SchedResources,
+    policy: &'r mut dyn PlacementPolicy,
+    autoscaler: Option<&'r mut Autoscaler>,
+    failures: Option<&'r FailurePlan>,
+    overload: &'r OverloadConfig,
+    /// One lane per tenant, index-aligned with `tenant_stats`.
+    lanes: Vec<Lane<'r>>,
+    tenant_stats: Vec<TenantStats>,
+    /// Budget buckets and breaker circuits for the whole run.
+    overload_state: OverloadState,
+    /// Scratch snapshot refreshed in place at every observation point:
+    /// the per-event view is allocation-free in steady state.
+    view: ResourceView,
+    queue: EventQueue<LoadEvent>,
+    outcomes: Vec<InstanceOutcome>,
     failed: usize,
     deadline_exceeded: usize,
     retries: u64,
     in_flight: usize,
 }
 
-/// Admits and executes one instance of `lane` at `start_ns` (its
-/// arrival was at `arrival_ns`; they differ only for instances that
-/// waited in the bounded queue). The one definition of the
-/// place → admit → execute → account sequence, shared by the direct
-/// arrival path and the queue-drain path — its mutation order against
-/// `resources`/`policy`/`plane` is exactly the pre-overload engine's,
-/// which is what keeps the all-knobs-off run byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn start_instance(
-    lane: &mut Lane<'_>,
-    stats: &mut TenantStats,
-    tenant: usize,
-    user: usize,
-    arrival_ns: Nanos,
-    start_ns: Nanos,
-    view_is_fresh: bool,
-    plane: &mut dyn DataPlane,
-    clock: &VirtualClock,
-    resources: &mut SchedResources,
-    policy: &mut dyn PlacementPolicy,
-    view: &mut ResourceView,
-    faults: Option<&RetryPolicy>,
-    overload: &OverloadConfig,
-    overload_state: &mut OverloadState,
-    counters: &mut Counters,
-    outcomes: &mut Vec<InstanceOutcome>,
-    queue: &mut EventQueue<LoadEvent>,
-) -> Result<(), PlatformError> {
-    if !view_is_fresh {
-        resources.view_into(start_ns, view);
-    }
-    // Open circuits push their nodes' apparent backlog up before the
-    // policy looks — placement steers away without any policy change.
-    overload_state.penalize_view(start_ns, view);
-    let assignment = policy.place(lane.spec, view);
-    // Charge instantiation: warm-set misses reserve the fig2a-style
-    // full cost on the node's CPU; pool misses pay their tier (full
-    // build or snapshot restore) while hits admit warm. Either way a
-    // charged instance's release is delayed past the work.
-    let admitted = lane.admission_state.admit(start_ns, &assignment, resources);
-    let release = admitted.release_ns;
-    let mut placed = InstancePlane { inner: plane, names: &lane.fn_names, nodes: &assignment };
-    // The overload control block rides along only when a knob is on:
-    // the all-off engine path must not even construct it.
-    let ctl = if overload.is_off() {
-        None
-    } else {
-        Some(OverloadCtl {
-            tenant,
-            deadline_ns: overload.deadline_ns.map(|d| arrival_ns.saturating_add(d)),
-            state: overload_state,
-        })
-    };
-    let outcome = run_compiled_at(
-        &mut placed,
-        clock,
-        &lane.compiled,
-        lane.payload.clone(),
-        resources,
-        release,
-        faults,
-        ctl,
-    )?;
-    let instance = outcomes.len();
-    let (finish, failed, deadline_exceeded, retries) = match outcome {
-        FaultyOutcome::Completed { run, retries } => {
-            (release + run.total_latency_ns, false, false, retries)
-        }
-        // Failed instances still produce a completion event: the
-        // closed-loop user saw an error and re-arms.
-        FaultyOutcome::Failed { failure, retries } => {
-            counters.failed += 1;
-            stats.failed += 1;
-            (failure.failed_at_ns.max(release), true, false, retries)
-        }
-        // Deadline aborts are shed-as-stale, not failures; they too
-        // produce a completion event (the user saw a timeout).
-        FaultyOutcome::DeadlineExceeded { at_ns, retries } => {
-            counters.deadline_exceeded += 1;
-            stats.deadline_exceeded += 1;
-            (at_ns.max(release), false, true, retries)
-        }
-    };
-    counters.retries += u64::from(retries);
-    if !failed && !deadline_exceeded {
-        stats.completed += 1;
-        stats.digest.record(finish - arrival_ns);
-    }
-    outcomes.push(InstanceOutcome {
-        instance,
-        user,
-        release_ns: arrival_ns,
-        cold_start_ns: release - start_ns,
-        pool_hits: admitted.hits,
-        pool_misses: admitted.misses,
-        finish_ns: finish,
-        sojourn_ns: finish - arrival_ns,
-        assignment,
-        tenant,
-        failed,
-        deadline_exceeded,
-        retries,
-    });
-    counters.in_flight += 1;
-    queue.push(finish, LoadEvent::Completion { user, instance });
-    Ok(())
-}
-
-/// The shared completion-event engine behind [`OpenLoop`],
-/// [`ClosedLoop`] and [`MultiLoad`].
-///
-/// Events drain in deterministic time order (FIFO among equals). Each
-/// arrival snapshots the live view, places, charges cold starts, and
-/// executes the instance at its release; each completion re-arms its
-/// closed-loop user and drains the bounded admission queue (when one is
-/// configured) in smooth weighted-round-robin tenant order. The
-/// autoscaler (when present) observes at *every* event, so it sees both
-/// pressure building (arrivals) and draining (completions).
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn drive(
-    tenants: &[TenantWork<'_>],
-    admission: Admission,
-    admission_cfg: &AdmissionConfig,
-    plane: &mut dyn DataPlane,
-    clock: &VirtualClock,
-    resources: &mut SchedResources,
-    policy: &mut dyn PlacementPolicy,
-    mut autoscaler: Option<&mut Autoscaler>,
-    failures: Option<&FailurePlan>,
-    overload: &OverloadConfig,
-) -> Result<LoadRun, PlatformError> {
-    let (cpu0, _) = resources.cpu_reserved();
-    let (link0, _) = resources.link_reserved();
-
-    // Arm the failure plan: attach the outage schedule (timelines start
-    // rejecting reservations inside down windows) and note the retry
-    // policy the fault-aware engine drives edges with. `None` keeps
-    // every `try_reserve_*` on the plain-reservation path.
-    let faults: Option<&RetryPolicy> = match failures {
-        Some(plan) => {
-            resources.set_outages(Arc::new(plan.outages().clone()));
-            Some(plan.retry())
-        }
-        None => None,
-    };
-
-    // Per-run precomputation, per tenant lane: validate/topo-sort each
-    // spec once for every instance (the compiled form), and intern the
-    // function-name list the placement override needs — neither is
-    // per-arrival work. Each lane owns its admission state, so one
-    // tenant's warmth is invisible to another's.
-    let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(tenants.len());
-    let mut tenant_stats: Vec<TenantStats> = Vec::with_capacity(tenants.len());
-    for t in tenants {
-        let compiled = CompiledWorkflow::compile(t.spec)?;
-        let fn_names: Vec<String> = t.spec.functions().iter().map(|&f| f.to_owned()).collect();
-        let admission_state = AdmissionState::new(admission_cfg, fn_names.len());
-        lanes.push(Lane {
-            spec: t.spec,
-            payload: t.payload,
-            compiled,
-            fn_names,
-            weight: t.weight.max(1),
-            admission_state,
-            queued: VecDeque::new(),
-        });
-        tenant_stats.push(TenantStats::new(t.name));
-    }
-    // Budget buckets and breaker circuits for the whole run.
-    let mut overload_state = OverloadState::new(overload);
-    // Smooth weighted-round-robin credit per tenant lane (the
-    // queue-drain fairness state).
-    let mut wrr_credit: Vec<i128> = vec![0; lanes.len()];
-    // Scratch snapshot refreshed in place at every observation point:
-    // the per-event view is allocation-free in steady state.
-    let mut view = ResourceView::default();
-
-    let mut queue: EventQueue<LoadEvent> = EventQueue::new();
-    // Kill-removal events go in before any arrival, so at equal times
-    // the control plane acts first (FIFO among equals).
-    if let Some(plan) = failures {
-        for kill in plan.kills() {
-            queue.push(
-                kill.at_ns.saturating_add(kill.detect_ns),
-                LoadEvent::NodeKill { node_id: kill.node_id },
-            );
+impl<'r> Engine<'r> {
+    fn new(
+        plane: &'r mut dyn DataPlane,
+        clock: &'r VirtualClock,
+        resources: &'r mut SchedResources,
+        policy: &'r mut dyn PlacementPolicy,
+        autoscaler: Option<&'r mut Autoscaler>,
+        failures: Option<&'r FailurePlan>,
+        overload: &'r OverloadConfig,
+    ) -> Self {
+        Self {
+            plane,
+            clock,
+            resources,
+            policy,
+            autoscaler,
+            failures,
+            overload,
+            lanes: Vec::new(),
+            tenant_stats: Vec::new(),
+            overload_state: OverloadState::new(overload),
+            view: ResourceView::default(),
+            queue: EventQueue::new(),
+            outcomes: Vec::new(),
+            failed: 0,
+            deadline_exceeded: 0,
+            retries: 0,
+            in_flight: 0,
         }
     }
-    // Closed-loop admission bookkeeping: how many instances have been
-    // admitted so far, against the total bound.
-    let (mut admitted, instance_bound, think_ns) = match &admission {
-        Admission::Open { releases, .. } => {
-            for (user, &at) in releases.iter().enumerate() {
-                queue.push(at, LoadEvent::Arrival { tenant: 0, user });
-            }
-            (releases.len(), releases.len(), 0)
-        }
-        Admission::Closed { users, think_ns, ramp_ns, instances } => {
-            let seed = (*users).min(*instances);
-            for user in 0..seed {
-                queue.push(user as Nanos * ramp_ns, LoadEvent::Arrival { tenant: 0, user });
-            }
-            (seed, *instances, *think_ns)
-        }
-        Admission::Multi { releases } => {
-            for &(at, tenant, user) in releases {
-                queue.push(at, LoadEvent::Arrival { tenant, user });
-            }
-            (releases.len(), releases.len(), 0)
-        }
-    };
-    let mut outcomes: Vec<InstanceOutcome> = Vec::new();
-    let mut counters =
-        Counters { failed: 0, deadline_exceeded: 0, retries: 0, in_flight: 0 };
-    let mut arrivals_total: usize = 0;
-    let mut shed_total: usize = 0;
-    // Queued arrivals across all lanes (kept incrementally so the
-    // overflow check is O(1)).
-    let mut queued_total: usize = 0;
-    // Link-health epoch last pushed into the plane (see the memo): only
-    // transitions move it, so a failure-free run never calls the hook.
-    let mut last_epoch: u64 = 0;
-    let mut known_nodes = resources.node_count();
-    // Time-weighted active-lane capacity (∫ lanes dt over the event
-    // timeline) — the utilization denominators under elastic capacity.
-    // Lane counts only change at scale events, so they are cached and
-    // refreshed when the node count moves.
-    let mut prev_event_ns: Option<Nanos> = None;
-    let mut cpu_lane_ns: u128 = 0;
-    let mut link_lane_ns: u128 = 0;
-    let mut cpu_lanes = resources.cpu_lanes();
-    let mut link_lanes = resources.link_lanes();
 
-    while let Some((now, event)) = queue.pop() {
-        // Integrate the lane capacity that was active since the last
-        // event, before the autoscaler gets a chance to change it.
-        if let Some(prev) = prev_event_ns {
-            let dt = u128::from(now - prev);
-            cpu_lane_ns += dt * cpu_lanes as u128;
-            link_lane_ns += dt * link_lanes as u128;
+    /// Admits and executes one instance of `tenant` at `start_ns` (its
+    /// arrival was at `arrival_ns`; they differ only for instances that
+    /// waited in the bounded queue). The one definition of the
+    /// place → admit → execute → account sequence, shared by the direct
+    /// arrival path and the queue-drain path — its mutation order against
+    /// `resources`/`policy`/`plane` is exactly the pre-overload engine's,
+    /// which is what keeps the all-knobs-off run byte-identical.
+    fn start_instance(
+        &mut self,
+        tenant: usize,
+        user: usize,
+        arrival_ns: Nanos,
+        start_ns: Nanos,
+        view_is_fresh: bool,
+    ) -> Result<(), PlatformError> {
+        if !view_is_fresh {
+            self.resources.view_into(start_ns, &mut self.view);
         }
-        prev_event_ns = Some(now);
-        if let Some(plan) = failures {
-            let epoch = plan.outages().transitions_until(now);
-            if epoch != last_epoch {
-                plane.set_health_epoch(epoch);
-                last_epoch = epoch;
-            }
-        }
-        let observed = match autoscaler.as_deref_mut() {
-            Some(scaler) => {
-                scaler.observe_into(now, resources, &mut view);
-                true
-            }
-            None => false,
+        // Open circuits push their nodes' apparent backlog up before the
+        // policy looks — placement steers away without any policy change.
+        self.overload_state.penalize_view(start_ns, &mut self.view);
+        let lane = &mut self.lanes[tenant];
+        let assignment = self.policy.place(lane.spec, &self.view);
+        // Charge instantiation: warm-set misses reserve the fig2a-style
+        // full cost on the node's CPU; pool misses pay their tier (full
+        // build or snapshot restore) while hits admit warm. Either way a
+        // charged instance's release is delayed past the work.
+        let admitted = lane.admission_state.admit(start_ns, &assignment, self.resources);
+        let release = admitted.release_ns;
+        let mut placed =
+            InstancePlane { inner: &mut *self.plane, names: &lane.fn_names, nodes: &assignment };
+        // The overload control block rides along only when a knob is on:
+        // the all-off engine path must not even construct it.
+        let ctl = if self.overload.is_off() {
+            None
+        } else {
+            Some(OverloadCtl {
+                tenant,
+                deadline_ns: self.overload.deadline_ns.map(|d| arrival_ns.saturating_add(d)),
+                state: &mut self.overload_state,
+            })
         };
-        let nodes_now = resources.node_count();
-        if nodes_now != known_nodes {
-            // Scale-in drops node timelines: anything warmed on a
-            // removed node must re-pay its cold start if the index is
-            // later re-added (a re-added index is a brand-new machine).
-            if nodes_now < known_nodes {
-                for lane in &mut lanes {
-                    lane.admission_state.shrink_to(nodes_now, now);
+        let outcome = run_compiled_at(
+            &mut placed,
+            self.clock,
+            &lane.compiled,
+            lane.payload.clone(),
+            self.resources,
+            release,
+            self.failures.map(FailurePlan::retry),
+            ctl,
+        )?;
+        let stats = &mut self.tenant_stats[tenant];
+        let instance = self.outcomes.len();
+        let (finish, failed, deadline_exceeded, retries) = match outcome {
+            FaultyOutcome::Completed { run, retries } => {
+                (release + run.total_latency_ns, false, false, retries)
+            }
+            // Failed instances still produce a completion event: the
+            // closed-loop user saw an error and re-arms.
+            FaultyOutcome::Failed { failure, retries } => {
+                self.failed += 1;
+                stats.failed += 1;
+                (failure.failed_at_ns.max(release), true, false, retries)
+            }
+            // Deadline aborts are shed-as-stale, not failures; they too
+            // produce a completion event (the user saw a timeout).
+            FaultyOutcome::DeadlineExceeded { at_ns, retries } => {
+                self.deadline_exceeded += 1;
+                stats.deadline_exceeded += 1;
+                (at_ns.max(release), false, true, retries)
+            }
+        };
+        self.retries += u64::from(retries);
+        if !failed && !deadline_exceeded {
+            stats.completed += 1;
+            stats.digest.record(finish - arrival_ns);
+        }
+        self.outcomes.push(InstanceOutcome {
+            instance,
+            user,
+            release_ns: arrival_ns,
+            cold_start_ns: release - start_ns,
+            pool_hits: admitted.hits,
+            pool_misses: admitted.misses,
+            finish_ns: finish,
+            sojourn_ns: finish - arrival_ns,
+            assignment,
+            tenant,
+            failed,
+            deadline_exceeded,
+            retries,
+        });
+        self.in_flight += 1;
+        self.queue.push(finish, LoadEvent::Completion { user, instance });
+        Ok(())
+    }
+
+    /// Runs `tenants` to completion under `admission`.
+    ///
+    /// Events drain in deterministic time order (FIFO among equals). Each
+    /// arrival snapshots the live view, places, charges cold starts, and
+    /// executes the instance at its release; each completion re-arms its
+    /// closed-loop user and drains the bounded admission queue (when one
+    /// is configured) in smooth weighted-round-robin tenant order. The
+    /// autoscaler (when present) observes at *every* event, so it sees
+    /// both pressure building (arrivals) and draining (completions).
+    #[allow(clippy::too_many_lines)]
+    fn drive(
+        mut self,
+        tenants: &[TenantWork<'r>],
+        admission: Admission,
+        admission_cfg: &AdmissionConfig,
+    ) -> Result<LoadRun, PlatformError> {
+        let (cpu0, _) = self.resources.cpu_reserved();
+        let (link0, _) = self.resources.link_reserved();
+
+        // Arm the failure plan: attach the outage schedule (timelines
+        // start rejecting reservations inside down windows); its retry
+        // policy drives the fault-aware edges. Without a plan every
+        // `try_reserve_*` stays on the plain-reservation path.
+        if let Some(plan) = self.failures {
+            self.resources.set_outages(Arc::new(plan.outages().clone()));
+        }
+
+        // Per-run precomputation, per tenant lane: validate/topo-sort each
+        // spec once for every instance (the compiled form), and intern the
+        // function-name list the placement override needs — neither is
+        // per-arrival work. Each lane owns its admission state, so one
+        // tenant's warmth is invisible to another's.
+        for t in tenants {
+            let compiled = CompiledWorkflow::compile(t.spec)?;
+            let fn_names: Vec<String> = t.spec.functions().iter().map(|&f| f.to_owned()).collect();
+            let admission_state = AdmissionState::new(admission_cfg, fn_names.len());
+            self.lanes.push(Lane {
+                spec: t.spec,
+                payload: t.payload,
+                compiled,
+                fn_names,
+                weight: t.weight.max(1),
+                admission_state,
+                queued: VecDeque::new(),
+            });
+            self.tenant_stats.push(TenantStats::new(t.name));
+        }
+        // Smooth weighted-round-robin credit per tenant lane (the
+        // queue-drain fairness state).
+        let mut wrr_credit: Vec<i128> = vec![0; self.lanes.len()];
+
+        // Kill-removal events go in before any arrival, so at equal times
+        // the control plane acts first (FIFO among equals).
+        if let Some(plan) = self.failures {
+            for kill in plan.kills() {
+                self.queue.push(
+                    kill.at_ns.saturating_add(kill.detect_ns),
+                    LoadEvent::NodeKill { node_id: kill.node_id },
+                );
+            }
+        }
+        // Closed-loop admission bookkeeping: how many instances have been
+        // admitted so far, against the total bound.
+        let (mut admitted, instance_bound, think_ns) = match &admission {
+            Admission::Open { releases, .. } => {
+                for (user, &at) in releases.iter().enumerate() {
+                    self.queue.push(at, LoadEvent::Arrival { tenant: 0, user });
+                }
+                (releases.len(), releases.len(), 0)
+            }
+            Admission::Closed { users, think_ns, ramp_ns, instances } => {
+                let seed = (*users).min(*instances);
+                for user in 0..seed {
+                    self.queue.push(user as Nanos * ramp_ns, LoadEvent::Arrival { tenant: 0, user });
+                }
+                (seed, *instances, *think_ns)
+            }
+            Admission::Multi { releases } => {
+                for &(at, tenant, user) in releases {
+                    self.queue.push(at, LoadEvent::Arrival { tenant, user });
+                }
+                (releases.len(), releases.len(), 0)
+            }
+        };
+        let mut arrivals_total: usize = 0;
+        let mut shed_total: usize = 0;
+        // Queued arrivals across all lanes (kept incrementally so the
+        // overflow check is O(1)).
+        let mut queued_total: usize = 0;
+        // Link-health epoch last pushed into the plane (see the memo): only
+        // transitions move it, so a failure-free run never calls the hook.
+        let mut last_epoch: u64 = 0;
+        let mut known_nodes = self.resources.node_count();
+        // Time-weighted active-lane capacity (∫ lanes dt over the event
+        // timeline) — the utilization denominators under elastic capacity.
+        // Lane counts only change at scale events, so they are cached and
+        // refreshed when the node count moves.
+        let mut prev_event_ns: Option<Nanos> = None;
+        let mut cpu_lane_ns: u128 = 0;
+        let mut link_lane_ns: u128 = 0;
+        let mut cpu_lanes = self.resources.cpu_lanes();
+        let mut link_lanes = self.resources.link_lanes();
+
+        while let Some((now, event)) = self.queue.pop() {
+            // Integrate the lane capacity that was active since the last
+            // event, before the autoscaler gets a chance to change it.
+            if let Some(prev) = prev_event_ns {
+                let dt = u128::from(now - prev);
+                cpu_lane_ns += dt * cpu_lanes as u128;
+                link_lane_ns += dt * link_lanes as u128;
+            }
+            prev_event_ns = Some(now);
+            if let Some(plan) = self.failures {
+                let epoch = plan.outages().transitions_until(now);
+                if epoch != last_epoch {
+                    self.plane.set_health_epoch(epoch);
+                    last_epoch = epoch;
                 }
             }
-            cpu_lanes = resources.cpu_lanes();
-            link_lanes = resources.link_lanes();
-            known_nodes = nodes_now;
-        }
-        // Predictive pre-warming: with both a prewarm-configured
-        // controller and pooled admission present, re-staff the pools
-        // toward the square-root staffing target at every event (not
-        // just on cooldown-gated decisions — evictions between
-        // decisions would otherwise leave the pool empty).
-        if let Some(scaler) = autoscaler.as_deref_mut() {
-            if lanes.iter().any(|l| matches!(l.admission_state, AdmissionState::Pool(_))) {
-                if let Some(target) =
-                    scaler.prewarm_target(now, counters.in_flight, resources.node_count())
-                {
-                    for lane in &mut lanes {
-                        if let AdmissionState::Pool(pool) = &mut lane.admission_state {
-                            pool.ensure_target(now, target, counters.in_flight, resources);
+            let observed = match self.autoscaler.as_deref_mut() {
+                Some(scaler) => {
+                    scaler.observe_into(now, self.resources, &mut self.view);
+                    true
+                }
+                None => false,
+            };
+            let nodes_now = self.resources.node_count();
+            if nodes_now != known_nodes {
+                // Scale-in drops node timelines: anything warmed on a
+                // removed node must re-pay its cold start if the index is
+                // later re-added (a re-added index is a brand-new machine).
+                if nodes_now < known_nodes {
+                    for lane in &mut self.lanes {
+                        lane.admission_state.shrink_to(nodes_now, now);
+                    }
+                }
+                cpu_lanes = self.resources.cpu_lanes();
+                link_lanes = self.resources.link_lanes();
+                known_nodes = nodes_now;
+            }
+            // Predictive pre-warming: with both a prewarm-configured
+            // controller and pooled admission present, re-staff the pools
+            // toward the square-root staffing target at every event (not
+            // just on cooldown-gated decisions — evictions between
+            // decisions would otherwise leave the pool empty).
+            if let Some(scaler) = self.autoscaler.as_deref_mut() {
+                if self.lanes.iter().any(|l| matches!(l.admission_state, AdmissionState::Pool(_))) {
+                    if let Some(target) =
+                        scaler.prewarm_target(now, self.in_flight, self.resources.node_count())
+                    {
+                        for lane in &mut self.lanes {
+                            if let AdmissionState::Pool(pool) = &mut lane.admission_state {
+                                pool.ensure_target(now, target, self.in_flight, self.resources);
+                            }
                         }
                     }
                 }
             }
-        }
-        match event {
-            LoadEvent::Arrival { tenant, user } => {
-                arrivals_total += 1;
-                tenant_stats[tenant].arrivals += 1;
-                if let Some(qcfg) = overload.queue {
-                    if counters.in_flight >= qcfg.max_in_flight {
+            match event {
+                LoadEvent::Arrival { tenant, user } => {
+                    arrivals_total += 1;
+                    self.tenant_stats[tenant].arrivals += 1;
+                    match self.overload.queue {
                         // No admission slot: queue the arrival, or shed
                         // per policy when the shared queue is full.
-                        if queued_total >= qcfg.queue_cap {
-                            let shed_tenant = match qcfg.policy {
-                                // Tail drop (CoDel also tail-drops on
-                                // overflow; its sojourn check runs at
-                                // dequeue).
-                                ShedPolicy::RejectNewest | ShedPolicy::CoDel { .. } => tenant,
-                                // Shed the globally oldest queued entry
-                                // (most likely already stale) and queue
-                                // the newcomer in its place.
-                                ShedPolicy::RejectOldest => {
-                                    let oldest = lanes
-                                        .iter()
-                                        .enumerate()
-                                        .filter_map(|(i, l)| {
-                                            l.queued.front().map(|&(_, at)| (at, i))
-                                        })
-                                        .min()
-                                        .map(|(_, i)| i);
-                                    match oldest {
-                                        Some(victim) => {
-                                            lanes[victim].queued.pop_front();
-                                            lanes[tenant].queued.push_back((user, now));
-                                            victim
+                        Some(qcfg) if self.in_flight >= qcfg.max_in_flight => {
+                            if queued_total >= qcfg.queue_cap {
+                                let shed_tenant = match qcfg.policy {
+                                    // Tail drop (CoDel also tail-drops on
+                                    // overflow; its sojourn check runs at
+                                    // dequeue).
+                                    ShedPolicy::RejectNewest | ShedPolicy::CoDel { .. } => tenant,
+                                    // Shed the globally oldest queued entry
+                                    // (most likely already stale) and queue
+                                    // the newcomer in its place.
+                                    ShedPolicy::RejectOldest => {
+                                        let oldest = self
+                                            .lanes
+                                            .iter()
+                                            .enumerate()
+                                            .filter_map(|(i, l)| {
+                                                l.queued.front().map(|&(_, at)| (at, i))
+                                            })
+                                            .min()
+                                            .map(|(_, i)| i);
+                                        match oldest {
+                                            Some(victim) => {
+                                                self.lanes[victim].queued.pop_front();
+                                                self.lanes[tenant].queued.push_back((user, now));
+                                                victim
+                                            }
+                                            // Zero-capacity queue: nothing
+                                            // to displace, drop the arrival.
+                                            None => tenant,
                                         }
-                                        // Zero-capacity queue: nothing
-                                        // to displace, drop the arrival.
-                                        None => tenant,
                                     }
-                                }
-                            };
-                            shed_total += 1;
-                            tenant_stats[shed_tenant].shed += 1;
-                        } else {
-                            lanes[tenant].queued.push_back((user, now));
-                            queued_total += 1;
-                        }
-                    } else {
-                        start_instance(
-                            &mut lanes[tenant],
-                            &mut tenant_stats[tenant],
-                            tenant,
-                            user,
-                            now,
-                            now,
-                            observed,
-                            plane,
-                            clock,
-                            resources,
-                            policy,
-                            &mut view,
-                            faults,
-                            overload,
-                            &mut overload_state,
-                            &mut counters,
-                            &mut outcomes,
-                            &mut queue,
-                        )?;
-                    }
-                } else {
-                    start_instance(
-                        &mut lanes[tenant],
-                        &mut tenant_stats[tenant],
-                        tenant,
-                        user,
-                        now,
-                        now,
-                        observed,
-                        plane,
-                        clock,
-                        resources,
-                        policy,
-                        &mut view,
-                        faults,
-                        overload,
-                        &mut overload_state,
-                        &mut counters,
-                        &mut outcomes,
-                        &mut queue,
-                    )?;
-                }
-            }
-            LoadEvent::Completion { user, instance } => {
-                counters.in_flight = counters.in_flight.saturating_sub(1);
-                let tenant = outcomes[instance].tenant;
-                // A completed instance hands its functions back to the
-                // pool; a failed or deadline-blown one is torn down
-                // where it died, so it returns nothing.
-                if !outcomes[instance].failed && !outcomes[instance].deadline_exceeded {
-                    lanes[tenant]
-                        .admission_state
-                        .complete(now, &outcomes[instance].assignment);
-                }
-                // Closed loop: the freed user thinks, then re-arrives —
-                // the arrival is gated on this completion by
-                // construction.
-                if matches!(admission, Admission::Closed { .. }) && admitted < instance_bound {
-                    admitted += 1;
-                    queue.push(now + think_ns, LoadEvent::Arrival { tenant, user });
-                }
-                // Drain the bounded queue into the freed capacity in
-                // smooth weighted-round-robin tenant order: each round,
-                // every backed-up tenant earns its weight in credit, the
-                // richest (ties → lowest index) dequeues and pays the
-                // total active weight back.
-                if let Some(qcfg) = overload.queue {
-                    while counters.in_flight < qcfg.max_in_flight && queued_total > 0 {
-                        let mut total_weight: i128 = 0;
-                        let mut pick: Option<usize> = None;
-                        for (i, lane) in lanes.iter().enumerate() {
-                            if lane.queued.is_empty() {
-                                continue;
-                            }
-                            wrr_credit[i] += i128::from(lane.weight);
-                            total_weight += i128::from(lane.weight);
-                            match pick {
-                                Some(p) if wrr_credit[p] >= wrr_credit[i] => {}
-                                _ => pick = Some(i),
-                            }
-                        }
-                        let Some(pick) = pick else { break };
-                        wrr_credit[pick] -= total_weight;
-                        let (quser, qarrival) = lanes[pick]
-                            .queued
-                            .pop_front()
-                            .expect("picked lanes have queued arrivals");
-                        queued_total -= 1;
-                        // CoDel-style staleness check at dequeue: an
-                        // arrival that already overstayed the sojourn
-                        // target is dead on arrival — shed it instead
-                        // of burning capacity on it.
-                        if let ShedPolicy::CoDel { target_ns } = qcfg.policy {
-                            if now.saturating_sub(qarrival) > target_ns {
+                                };
                                 shed_total += 1;
-                                tenant_stats[pick].shed += 1;
-                                continue;
+                                self.tenant_stats[shed_tenant].shed += 1;
+                            } else {
+                                self.lanes[tenant].queued.push_back((user, now));
+                                queued_total += 1;
                             }
                         }
-                        start_instance(
-                            &mut lanes[pick],
-                            &mut tenant_stats[pick],
-                            pick,
-                            quser,
-                            qarrival,
-                            now,
-                            false,
-                            plane,
-                            clock,
-                            resources,
-                            policy,
-                            &mut view,
-                            faults,
-                            overload,
-                            &mut overload_state,
-                            &mut counters,
-                            &mut outcomes,
-                            &mut queue,
-                        )?;
+                        _ => self.start_instance(tenant, user, now, now, observed)?,
                     }
                 }
-            }
-            LoadEvent::NodeKill { node_id } => {
-                // The control plane removes the dead node: un-started
-                // backlog migrates to survivors, the mesh shrinks, and
-                // everything warmed on the victim dies with it
-                // (survivors above the victim shift down one index).
-                // A one-node cluster keeps its dead node in the
-                // schedule — there is nowhere to migrate to, and the
-                // outage window already fails every placement.
-                if let Some(victim) = resources.node_index_of(node_id) {
-                    if resources.node_count() > 1 {
-                        resources.remove_node(victim, now);
-                        for lane in &mut lanes {
-                            lane.admission_state.remove_node(victim, now);
+                LoadEvent::Completion { user, instance } => {
+                    self.in_flight = self.in_flight.saturating_sub(1);
+                    let outcome = &self.outcomes[instance];
+                    let tenant = outcome.tenant;
+                    // A completed instance hands its functions back to the
+                    // pool; a failed or deadline-blown one is torn down
+                    // where it died, so it returns nothing.
+                    if !outcome.failed && !outcome.deadline_exceeded {
+                        self.lanes[tenant].admission_state.complete(now, &outcome.assignment);
+                    }
+                    // Closed loop: the freed user thinks, then re-arrives —
+                    // the arrival is gated on this completion by
+                    // construction.
+                    if matches!(admission, Admission::Closed { .. }) && admitted < instance_bound {
+                        admitted += 1;
+                        self.queue.push(now + think_ns, LoadEvent::Arrival { tenant, user });
+                    }
+                    // Drain the bounded queue into the freed capacity in
+                    // smooth weighted-round-robin tenant order: each round,
+                    // every backed-up tenant earns its weight in credit, the
+                    // richest (ties → lowest index) dequeues and pays the
+                    // total active weight back.
+                    if let Some(qcfg) = self.overload.queue {
+                        while self.in_flight < qcfg.max_in_flight && queued_total > 0 {
+                            let mut total_weight: i128 = 0;
+                            let mut pick: Option<usize> = None;
+                            for (i, lane) in self.lanes.iter().enumerate() {
+                                if lane.queued.is_empty() {
+                                    continue;
+                                }
+                                wrr_credit[i] += i128::from(lane.weight);
+                                total_weight += i128::from(lane.weight);
+                                match pick {
+                                    Some(p) if wrr_credit[p] >= wrr_credit[i] => {}
+                                    _ => pick = Some(i),
+                                }
+                            }
+                            let Some(pick) = pick else { break };
+                            wrr_credit[pick] -= total_weight;
+                            let (quser, qarrival) = self.lanes[pick]
+                                .queued
+                                .pop_front()
+                                .expect("picked lanes have queued arrivals");
+                            queued_total -= 1;
+                            // CoDel-style staleness check at dequeue: an
+                            // arrival that already overstayed the sojourn
+                            // target is dead on arrival — shed it instead
+                            // of burning capacity on it.
+                            if let ShedPolicy::CoDel { target_ns } = qcfg.policy {
+                                if now.saturating_sub(qarrival) > target_ns {
+                                    shed_total += 1;
+                                    self.tenant_stats[pick].shed += 1;
+                                    continue;
+                                }
+                            }
+                            self.start_instance(pick, quser, qarrival, now, false)?;
                         }
-                        cpu_lanes = resources.cpu_lanes();
-                        link_lanes = resources.link_lanes();
-                        known_nodes = resources.node_count();
+                    }
+                }
+                LoadEvent::NodeKill { node_id } => {
+                    // The control plane removes the dead node: un-started
+                    // backlog migrates to survivors, the mesh shrinks, and
+                    // everything warmed on the victim dies with it
+                    // (survivors above the victim shift down one index).
+                    // A one-node cluster keeps its dead node in the
+                    // schedule — there is nowhere to migrate to, and the
+                    // outage window already fails every placement.
+                    if let Some(victim) = self.resources.node_index_of(node_id) {
+                        if self.resources.node_count() > 1 {
+                            self.resources.remove_node(victim, now);
+                            for lane in &mut self.lanes {
+                                lane.admission_state.remove_node(victim, now);
+                            }
+                            cpu_lanes = self.resources.cpu_lanes();
+                            link_lanes = self.resources.link_lanes();
+                            known_nodes = self.resources.node_count();
+                        }
                     }
                 }
             }
         }
-    }
 
-    // Arrivals still queued when the event stream dried up never ran:
-    // they count as shed, keeping `arrivals == outcomes + shed` exact.
-    for (i, lane) in lanes.iter().enumerate() {
-        let leftover = lane.queued.len();
-        if leftover > 0 {
-            shed_total += leftover;
-            tenant_stats[i].shed += leftover;
-        }
-    }
-
-    let first = outcomes.first().map(|o| o.release_ns).unwrap_or(0);
-    let last = outcomes.iter().map(|o| o.finish_ns).max().unwrap_or(first);
-    let horizon_ns = last - first;
-    // Keep-alive fates settle at the run horizon: still-warm instances
-    // whose TTL would expire by then count as evictions, the rest stay
-    // warm at end (so the idle-residency integral is complete). Lane
-    // pools merge by summation into the run-level accounting.
-    let mut pool: Option<PoolStats> = None;
-    for lane in lanes {
-        if let Some(stats) = lane.admission_state.finalize(last) {
-            pool = Some(match pool {
-                None => stats,
-                Some(acc) => PoolStats {
-                    hits: acc.hits + stats.hits,
-                    misses: acc.misses + stats.misses,
-                    restores: acc.restores + stats.restores,
-                    returns: acc.returns + stats.returns,
-                    evictions: acc.evictions + stats.evictions,
-                    prewarms: acc.prewarms + stats.prewarms,
-                    prewarm_ns: acc.prewarm_ns + stats.prewarm_ns,
-                    idle_ns: acc.idle_ns + stats.idle_ns,
-                    warm_at_end: acc.warm_at_end + stats.warm_at_end,
-                },
-            });
-        }
-    }
-    let (cpu1, _) = resources.cpu_reserved();
-    let (link1, _) = resources.link_reserved();
-    let util = |used: Nanos, lane_ns: u128| {
-        if lane_ns == 0 {
-            0.0
-        } else {
-            used as f64 / lane_ns as f64
-        }
-    };
-    // Offered load is a property of the admission process, so the engine
-    // computes it (the drivers used to fill it in post hoc, which left a
-    // 0.0 sentinel on any path that forgot). An empty run offers nothing
-    // — 0.0, never NaN.
-    let offered_rps = match &admission {
-        Admission::Open { releases, mean_interval_ns } => {
-            if releases.is_empty() {
-                0.0
-            } else {
-                1e9 / (*mean_interval_ns).max(1) as f64
+        // Arrivals still queued when the event stream dried up never ran:
+        // they count as shed, keeping `arrivals == outcomes + shed` exact.
+        for (i, lane) in self.lanes.iter().enumerate() {
+            let leftover = lane.queued.len();
+            if leftover > 0 {
+                shed_total += leftover;
+                self.tenant_stats[i].shed += leftover;
             }
         }
-        Admission::Closed { .. } => 0.0, // filled from the measured rate below
-        // Multi offers the merged trace's mean rate: n−1 gaps over the
-        // release span. Degenerate traces (< 2 releases, or all at one
-        // instant) offer 0.0 — never NaN.
-        Admission::Multi { releases } => {
-            if releases.len() < 2 {
+
+        let first = self.outcomes.first().map(|o| o.release_ns).unwrap_or(0);
+        let last = self.outcomes.iter().map(|o| o.finish_ns).max().unwrap_or(first);
+        let horizon_ns = last - first;
+        // Keep-alive fates settle at the run horizon: still-warm instances
+        // whose TTL would expire by then count as evictions, the rest stay
+        // warm at end (so the idle-residency integral is complete). Lane
+        // pools merge by summation into the run-level accounting.
+        let mut pool: Option<PoolStats> = None;
+        for lane in self.lanes {
+            if let Some(stats) = lane.admission_state.finalize(last) {
+                pool = Some(match pool {
+                    None => stats,
+                    Some(acc) => PoolStats {
+                        hits: acc.hits + stats.hits,
+                        misses: acc.misses + stats.misses,
+                        restores: acc.restores + stats.restores,
+                        returns: acc.returns + stats.returns,
+                        evictions: acc.evictions + stats.evictions,
+                        prewarms: acc.prewarms + stats.prewarms,
+                        prewarm_ns: acc.prewarm_ns + stats.prewarm_ns,
+                        idle_ns: acc.idle_ns + stats.idle_ns,
+                        warm_at_end: acc.warm_at_end + stats.warm_at_end,
+                    },
+                });
+            }
+        }
+        let (cpu1, _) = self.resources.cpu_reserved();
+        let (link1, _) = self.resources.link_reserved();
+        let util = |used: Nanos, lane_ns: u128| {
+            if lane_ns == 0 {
                 0.0
             } else {
-                let first_at = releases.first().map(|r| r.0).unwrap_or(0);
-                let last_at = releases.last().map(|r| r.0).unwrap_or(0);
-                let span = last_at.saturating_sub(first_at);
-                if span == 0 {
+                used as f64 / lane_ns as f64
+            }
+        };
+        // Offered load is a property of the admission process, so the engine
+        // computes it (the drivers used to fill it in post hoc, which left a
+        // 0.0 sentinel on any path that forgot). An empty run offers nothing
+        // — 0.0, never NaN.
+        let offered_rps = match &admission {
+            Admission::Open { releases, mean_interval_ns } => {
+                if releases.is_empty() {
                     0.0
                 } else {
-                    (releases.len() - 1) as f64 * 1e9 / span as f64
+                    1e9 / (*mean_interval_ns).max(1) as f64
                 }
             }
+            Admission::Closed { .. } => 0.0, // filled from the measured rate below
+            // Multi offers the merged trace's mean rate: n−1 gaps over the
+            // release span. Degenerate traces (< 2 releases, or all at one
+            // instant) offer 0.0 — never NaN.
+            Admission::Multi { releases } => {
+                if releases.len() < 2 {
+                    0.0
+                } else {
+                    let first_at = releases.first().map(|r| r.0).unwrap_or(0);
+                    let last_at = releases.last().map(|r| r.0).unwrap_or(0);
+                    let span = last_at.saturating_sub(first_at);
+                    if span == 0 {
+                        0.0
+                    } else {
+                        (releases.len() - 1) as f64 * 1e9 / span as f64
+                    }
+                }
+            }
+        };
+        let mut run = LoadRun {
+            outcomes: self.outcomes,
+            horizon_ns,
+            failed: self.failed,
+            arrivals: arrivals_total,
+            shed: shed_total,
+            deadline_exceeded: self.deadline_exceeded,
+            tenants: self.tenant_stats,
+            retries: self.retries,
+            offered_rps,
+            pool,
+            cpu_utilization: util(cpu1 - cpu0, cpu_lane_ns),
+            link_utilization: util(link1 - link0, link_lane_ns),
+            scale_events: self.autoscaler.map(|a| a.events().to_vec()).unwrap_or_default(),
+            final_nodes: self.resources.node_count(),
+        };
+        // A closed loop offers exactly what it completes: each user admits
+        // its next instance only after the previous one finishes.
+        if matches!(admission, Admission::Closed { .. }) {
+            run.offered_rps = run.throughput_rps();
         }
-    };
-    let mut run = LoadRun {
-        outcomes,
-        horizon_ns,
-        failed: counters.failed,
-        arrivals: arrivals_total,
-        shed: shed_total,
-        deadline_exceeded: counters.deadline_exceeded,
-        tenants: tenant_stats,
-        retries: counters.retries,
-        offered_rps,
-        pool,
-        cpu_utilization: util(cpu1 - cpu0, cpu_lane_ns),
-        link_utilization: util(link1 - link0, link_lane_ns),
-        scale_events: autoscaler.map(|a| a.events().to_vec()).unwrap_or_default(),
-        final_nodes: resources.node_count(),
-        sorted_sojourns: std::sync::OnceLock::new(),
-    };
-    // A closed loop offers exactly what it completes: each user admits
-    // its next instance only after the previous one finishes.
-    if matches!(admission, Admission::Closed { .. }) {
-        run.offered_rps = run.throughput_rps();
+        Ok(run)
     }
-    Ok(run)
 }
 
 /// Configuration of the backlog-driven [`Autoscaler`].
@@ -2071,8 +1848,8 @@ mod tests {
     fn placed_overrides_placement_and_forwards_transfers() {
         let clock = VirtualClock::new();
         let mut plane = FixedPlane::new(clock.clone());
-        let spec = pipeline_spec();
-        let mut placed = Placed::new(&mut plane, &spec, &[2, 5]);
+        let names = ["a".to_owned(), "b".to_owned()];
+        let mut placed = InstancePlane { inner: &mut plane, names: &names, nodes: &[2, 5] };
         assert_eq!(placed.placement("a"), Some(2));
         assert_eq!(placed.placement("b"), Some(5));
         assert_eq!(placed.placement("ghost"), None);
@@ -2088,7 +1865,8 @@ mod tests {
 
         // Uncontended makespan of one instance under locality placement.
         let mut fresh = SchedResources::heterogeneous(&[1, 1]);
-        let mut placed = Placed::new(&mut plane, &spec, &[0, 0]);
+        let names = ["a".to_owned(), "b".to_owned()];
+        let mut placed = InstancePlane { inner: &mut plane, names: &names, nodes: &[0, 0] };
         let solo = execute_concurrent(&mut placed, &clock, &spec, Bytes::new(), &mut fresh)
             .unwrap()
             .total_latency_ns;
@@ -2344,7 +2122,15 @@ mod tests {
             window_ns: 2_000,
         });
         let run = load
-            .run_elastic(&mut plane, &clock, &mut res, &mut policy, Some(&mut scaler))
+            .run_overloaded(
+                &mut plane,
+                &clock,
+                &mut res,
+                &mut policy,
+                Some(&mut scaler),
+                None,
+                &OverloadConfig::default(),
+            )
             .unwrap();
         assert!(
             run.scale_events.iter().any(|e| e.action == ScaleAction::Up),
@@ -2427,7 +2213,15 @@ mod tests {
             window_ns: 1_000,
         });
         let run = load
-            .run_elastic(&mut plane, &clock, &mut res, &mut policy, Some(&mut scaler))
+            .run_overloaded(
+                &mut plane,
+                &clock,
+                &mut res,
+                &mut policy,
+                Some(&mut scaler),
+                None,
+                &OverloadConfig::default(),
+            )
             .unwrap();
         // Drain → scale-in, burst → scale-out (a final drain-time
         // scale-in may trail at the last completion).
@@ -2522,7 +2316,15 @@ mod tests {
             let plan = FailurePlan::new(RetryPolicy::default());
             assert!(plan.is_empty());
             open(pipeline_spec(), 700, 9)
-                .run_with_failures(&mut plane, &clock, &mut res, &mut policy, None, Some(&plan))
+                .run_overloaded(
+                    &mut plane,
+                    &clock,
+                    &mut res,
+                    &mut policy,
+                    None,
+                    Some(&plan),
+                    &OverloadConfig::default(),
+                )
                 .unwrap()
         };
         assert_eq!(baseline.outcomes.len(), faulty.outcomes.len());
@@ -2553,7 +2355,15 @@ mod tests {
             OutageSchedule::new().link_down(res.node_id(0), res.node_id(1), 0, 5_000),
         );
         let run = open(pipeline_spec(), 10_000, 4)
-            .run_with_failures(&mut plane, &clock, &mut res, &mut policy, None, Some(&plan))
+            .run_overloaded(
+                &mut plane,
+                &clock,
+                &mut res,
+                &mut policy,
+                None,
+                Some(&plan),
+                &OverloadConfig::default(),
+            )
             .unwrap();
         assert_eq!(run.outcomes.len(), 4);
         assert_eq!(run.failed, 0, "the flap lifts well inside the retry budget");
@@ -2580,7 +2390,15 @@ mod tests {
         let plan = FailurePlan::new(RetryPolicy::new(3, 1_000, 1 << 40))
             .with_outages(OutageSchedule::new().node_killed(res.node_id(1), 0));
         let run = open(pipeline_spec(), 10_000, 3)
-            .run_with_failures(&mut plane, &clock, &mut res, &mut policy, None, Some(&plan))
+            .run_overloaded(
+                &mut plane,
+                &clock,
+                &mut res,
+                &mut policy,
+                None,
+                Some(&plan),
+                &OverloadConfig::default(),
+            )
             .unwrap();
         assert_eq!(run.outcomes.len(), 3, "failed instances still yield outcomes");
         assert_eq!(run.failed, 3);
@@ -2628,7 +2446,15 @@ mod tests {
                 1_000,
             );
             closed
-                .run_with_failures(&mut plane, &clock, &mut res, &mut policy, None, Some(&plan))
+                .run_overloaded(
+                    &mut plane,
+                    &clock,
+                    &mut res,
+                    &mut policy,
+                    None,
+                    Some(&plan),
+                    &OverloadConfig::default(),
+                )
                 .unwrap()
         };
         assert_eq!(fixed.final_nodes, 1, "nobody replaces the dead node");
@@ -2647,13 +2473,14 @@ mod tests {
                 1_000,
             );
             closed
-                .run_with_failures(
+                .run_overloaded(
                     &mut plane,
                     &clock,
                     &mut res,
                     &mut policy,
                     Some(&mut scaler),
                     Some(&plan),
+                    &OverloadConfig::default(),
                 )
                 .unwrap()
         };
@@ -2694,7 +2521,15 @@ mod tests {
             admission: AdmissionConfig::warm(),
         };
         let run = closed
-            .run_with_failures(&mut plane, &clock, &mut res, &mut policy, None, Some(&plan))
+            .run_overloaded(
+                &mut plane,
+                &clock,
+                &mut res,
+                &mut policy,
+                None,
+                Some(&plan),
+                &OverloadConfig::default(),
+            )
             .unwrap();
         assert_eq!(run.outcomes.len(), 6);
         assert_eq!(run.failed, 6);
@@ -2748,47 +2583,6 @@ mod tests {
         let t = &run.tenants[0];
         assert_eq!((t.arrivals, t.shed, t.completed), (5, 5, 0));
         assert!(t.sojourn_percentiles().is_none());
-    }
-
-    #[test]
-    fn the_default_overload_config_is_byte_identical_to_run_with_failures() {
-        let run_pair = || {
-            let clock = VirtualClock::new();
-            let plane = FixedPlane::new(clock.clone());
-            let res = SchedResources::new(2, 4);
-            let policy = SpreadLoad::new();
-            let plan = FailurePlan::new(RetryPolicy::new(4, 2_000, 1 << 40)).with_outages(
-                OutageSchedule::new().link_down(res.node_id(0), res.node_id(1), 0, 4_000),
-            );
-            (clock, plane, res, policy, plan)
-        };
-        let baseline = {
-            let (clock, mut plane, mut res, mut policy, plan) = run_pair();
-            open(pipeline_spec(), 700, 9)
-                .run_with_failures(&mut plane, &clock, &mut res, &mut policy, None, Some(&plan))
-                .unwrap()
-        };
-        let overloaded = {
-            let (clock, mut plane, mut res, mut policy, plan) = run_pair();
-            let cfg = OverloadConfig::default();
-            assert!(cfg.is_off());
-            open(pipeline_spec(), 700, 9)
-                .run_overloaded(&mut plane, &clock, &mut res, &mut policy, None, Some(&plan), &cfg)
-                .unwrap()
-        };
-        assert_eq!(baseline.outcomes.len(), overloaded.outcomes.len());
-        for (a, b) in baseline.outcomes.iter().zip(&overloaded.outcomes) {
-            assert_eq!(
-                (a.release_ns, a.cold_start_ns, a.finish_ns, a.sojourn_ns, a.retries, a.failed),
-                (b.release_ns, b.cold_start_ns, b.finish_ns, b.sojourn_ns, b.retries, b.failed),
-            );
-            assert_eq!(a.assignment, b.assignment);
-            assert!(!b.deadline_exceeded);
-        }
-        assert_eq!(baseline.offered_rps, overloaded.offered_rps);
-        assert_eq!(baseline.cpu_utilization, overloaded.cpu_utilization);
-        assert_eq!(baseline.link_utilization, overloaded.link_utilization);
-        assert_eq!((overloaded.shed, overloaded.deadline_exceeded), (0, 0));
     }
 
     #[test]

@@ -38,6 +38,7 @@
 //!
 //! [`RoadrunnerPlane`]: https://docs.rs/roadrunner
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use bytes::Bytes;
@@ -46,43 +47,50 @@ use roadrunner_vkernel::{Nanos, VirtualClock};
 use crate::error::PlatformError;
 use crate::workflow::{fnv1a, DataPlane, TransferTiming};
 
-/// One recorded transfer outcome, with the full key retained so a (once
-/// in 2⁶⁴) composite-hash collision is detected and bypassed instead of
-/// silently replaying the wrong edge.
-#[derive(Debug, Clone)]
-struct MemoEntry {
-    from: String,
-    to: String,
+/// The full identity of one transfer: endpoints, effective placement,
+/// payload length and fingerprint, and the link-health epoch. Lookups
+/// borrow the endpoint names; recorded entries own them.
+#[derive(Debug, Clone, PartialEq)]
+struct MemoKey<'a> {
+    from: Cow<'a, str>,
+    to: Cow<'a, str>,
     src: Option<usize>,
     dst: Option<usize>,
     len: usize,
     fingerprint: u64,
     epoch: u64,
+}
+
+impl MemoKey<'_> {
+    /// Composite FNV-1a hash of every key field — the map key.
+    fn hash(&self) -> u64 {
+        let mut h = mix_str(0xcbf2_9ce4_8422_2325, &self.from);
+        h = mix_str(h, &self.to);
+        h = mix(h, self.src.map(|n| n as u64 + 1).unwrap_or(0));
+        h = mix(h, self.dst.map(|n| n as u64 + 1).unwrap_or(0));
+        h = mix(h, self.len as u64);
+        h = mix(h, self.fingerprint);
+        mix(h, self.epoch)
+    }
+
+    fn into_owned(self) -> MemoKey<'static> {
+        MemoKey {
+            from: Cow::Owned(self.from.into_owned()),
+            to: Cow::Owned(self.to.into_owned()),
+            ..self
+        }
+    }
+}
+
+/// One recorded transfer outcome, with the full key retained so a (once
+/// in 2⁶⁴) composite-hash collision is detected and bypassed instead of
+/// silently replaying the wrong edge.
+#[derive(Debug, Clone)]
+struct MemoEntry {
+    key: MemoKey<'static>,
     received: Bytes,
     timing: Option<TransferTiming>,
     clock_advance_ns: Nanos,
-}
-
-impl MemoEntry {
-    #[allow(clippy::too_many_arguments)]
-    fn matches(
-        &self,
-        from: &str,
-        to: &str,
-        src: Option<usize>,
-        dst: Option<usize>,
-        len: usize,
-        fingerprint: u64,
-        epoch: u64,
-    ) -> bool {
-        self.from == from
-            && self.to == to
-            && self.src == src
-            && self.dst == dst
-            && self.len == len
-            && self.fingerprint == fingerprint
-            && self.epoch == epoch
-    }
 }
 
 /// A transfer-cost memo over any [`DataPlane`] (see the [module
@@ -238,22 +246,18 @@ impl DataPlane for MemoizedPlane<'_> {
         // override when one is given, the wrapped plane's deployment
         // placement otherwise — so an edge memoized colocated is never
         // replayed for an instance whose override separated it.
-        let src = src_node.or_else(|| self.inner.placement(from));
-        let dst = dst_node.or_else(|| self.inner.placement(to));
-        let len = payload.len();
-        let fingerprint = self.fingerprint(&payload);
-        let epoch = self.health_epoch;
-        let key = {
-            let mut h = mix_str(0xcbf2_9ce4_8422_2325, from);
-            h = mix_str(h, to);
-            h = mix(h, src.map(|n| n as u64 + 1).unwrap_or(0));
-            h = mix(h, dst.map(|n| n as u64 + 1).unwrap_or(0));
-            h = mix(h, len as u64);
-            h = mix(h, fingerprint);
-            mix(h, epoch)
+        let key = MemoKey {
+            from: Cow::Borrowed(from),
+            to: Cow::Borrowed(to),
+            src: src_node.or_else(|| self.inner.placement(from)),
+            dst: dst_node.or_else(|| self.inner.placement(to)),
+            len: payload.len(),
+            fingerprint: self.fingerprint(&payload),
+            epoch: self.health_epoch,
         };
-        match self.entries.get(&key) {
-            Some(entry) if entry.matches(from, to, src, dst, len, fingerprint, epoch) => {
+        let hash = key.hash();
+        match self.entries.get(&hash) {
+            Some(entry) if entry.key == key => {
                 // Hit: replay the recorded outcome, clock advance
                 // included, so downstream virtual-time math is
                 // indistinguishable from the real run.
@@ -274,15 +278,9 @@ impl DataPlane for MemoizedPlane<'_> {
                     self.inner.transfer_placed(from, to, payload, src_node, dst_node)?;
                 let clock_advance_ns = self.clock.now() - t0;
                 self.entries.insert(
-                    key,
+                    hash,
                     MemoEntry {
-                        from: from.to_owned(),
-                        to: to.to_owned(),
-                        src,
-                        dst,
-                        len,
-                        fingerprint,
-                        epoch,
+                        key: key.into_owned(),
                         received: received.clone(),
                         timing,
                         clock_advance_ns,

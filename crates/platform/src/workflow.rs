@@ -265,11 +265,11 @@ pub trait DataPlane {
     /// Like [`transfer_detailed`](Self::transfer_detailed), carrying the
     /// **instance's** effective placement for both endpoints (`None` =
     /// no override). Planes that derive a delivery mode from co-location
-    /// (`RoadrunnerPlane` in `roadrunner-core`) override this so a
-    /// placement wrapper ([`Placed`](crate::loadgen::Placed)) can flip
-    /// an edge between user-/kernel-space and network delivery per
-    /// instance; the default ignores the overrides and keeps the
-    /// deployment's static modes.
+    /// (`RoadrunnerPlane` in `roadrunner-core`) override this so the
+    /// load engine's per-instance placement wrapper can flip an edge
+    /// between user-/kernel-space and network delivery per instance; the
+    /// default ignores the overrides and keeps the deployment's static
+    /// modes.
     ///
     /// # Errors
     ///
@@ -313,12 +313,12 @@ pub struct EdgeResult {
     /// contention wait in the concurrent engine).
     pub latency_ns: Nanos,
     /// When the edge started, relative to the run's start (for
-    /// [`execute_concurrent_at`] this is absolute on the shared
+    /// [`execute_compiled_at`] this is absolute on the shared
     /// resources' timescale, so it is ≥ the instance's release time).
     pub start_ns: Nanos,
     /// When the edge completed, on the same timescale as `start_ns`
     /// (relative to the run's start; absolute on the shared resources'
-    /// timescale for [`execute_concurrent_at`]). In the concurrent
+    /// timescale for [`execute_compiled_at`]). In the concurrent
     /// engine `finish_ns - start_ns` can exceed `latency_ns` when the
     /// edge waited for a contended resource mid-flight.
     pub finish_ns: Nanos,
@@ -482,39 +482,21 @@ pub fn execute_concurrent(
     payload: Bytes,
     resources: &mut SchedResources,
 ) -> Result<WorkflowRun, PlatformError> {
-    execute_concurrent_at(plane, clock, spec, payload, resources, 0)
+    execute_compiled_at(plane, clock, &CompiledWorkflow::compile(spec)?, payload, resources, 0)
 }
 
-/// [`execute_concurrent`] with a release time: the workflow's roots
-/// become ready at `release_ns` on `resources`' shared timescale instead
-/// of at 0.
+/// [`execute_concurrent`] over a pre-compiled workflow, with a release
+/// time: the workflow's roots become ready at `release_ns` on
+/// `resources`' shared timescale instead of at 0.
 ///
-/// This is the admission primitive of the open-loop load generator
-/// ([`crate::loadgen`]): each arriving workflow instance is executed onto
-/// the *same* `resources`, released at its arrival time, so independent
-/// instances genuinely contend for cores and links in virtual time.
-/// Edge `start_ns`/`finish_ns` are absolute on the resources' timescale;
+/// This is the admission primitive of the load generators
+/// ([`crate::loadgen`]): one [`CompiledWorkflow`] serves every arrival of
+/// a spec, and each arriving instance is executed onto the *same*
+/// `resources`, released at its arrival time, so independent instances
+/// genuinely contend for cores and links in virtual time. Edge
+/// `start_ns`/`finish_ns` are absolute on the resources' timescale;
 /// `total_latency_ns` is the instance's makespan measured **from its
 /// release** (its sojourn time under load).
-///
-/// # Errors
-///
-/// Propagates validation and transfer errors.
-pub fn execute_concurrent_at(
-    plane: &mut dyn DataPlane,
-    clock: &VirtualClock,
-    spec: &WorkflowSpec,
-    payload: Bytes,
-    resources: &mut SchedResources,
-    release_ns: Nanos,
-) -> Result<WorkflowRun, PlatformError> {
-    execute_compiled_at(plane, clock, &CompiledWorkflow::compile(spec)?, payload, resources, release_ns)
-}
-
-/// [`execute_concurrent_at`] over a pre-compiled workflow — the admission
-/// primitive the load generators actually drive: one
-/// [`CompiledWorkflow`] serves every arrival of a spec, so per-instance
-/// cost is the edges themselves, not graph validation and sorting.
 ///
 /// # Errors
 ///
@@ -590,7 +572,7 @@ impl Default for RetryPolicy {
 
 /// Accounting for the edge that exhausted its retry budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EdgeFailure {
+pub(crate) struct EdgeFailure {
     /// Sending function of the failed edge.
     pub from: String,
     /// Receiving function of the failed edge.
@@ -607,7 +589,7 @@ pub struct EdgeFailure {
 /// early. `retries` counts failed attempts across **all** edges of the
 /// instance.
 #[derive(Debug)]
-pub enum FaultyOutcome {
+pub(crate) enum FaultyOutcome {
     /// Every edge eventually succeeded.
     Completed {
         /// The completed run, identical in shape to a fault-free one.
@@ -634,30 +616,6 @@ pub enum FaultyOutcome {
     },
 }
 
-/// [`execute_compiled_at`] made fault-aware: edge attempts consult the
-/// outage schedule attached to `resources`, failed attempts re-run
-/// after `retry`'s deterministic backoff, and an edge that exhausts its
-/// budget fails the instance with accounting instead of an opaque
-/// error. With an empty (or absent) outage schedule the behavior — and
-/// every reservation — is byte-identical to [`execute_compiled_at`].
-///
-/// # Errors
-///
-/// Propagates non-fault transfer errors (unknown function, integrity
-/// violations); outage-induced failures come back as
-/// [`FaultyOutcome::Failed`], not `Err`.
-pub fn execute_compiled_faulty_at(
-    plane: &mut dyn DataPlane,
-    clock: &VirtualClock,
-    compiled: &CompiledWorkflow<'_>,
-    payload: Bytes,
-    resources: &mut SchedResources,
-    release_ns: Nanos,
-    retry: &RetryPolicy,
-) -> Result<FaultyOutcome, PlatformError> {
-    run_compiled_at(plane, clock, compiled, payload, resources, release_ns, Some(retry), None)
-}
-
 /// One edge attempt's scheduling result.
 enum Attempt {
     Done { received: Bytes, timing: TransferTiming, start: Nanos, finish: Nanos },
@@ -665,11 +623,18 @@ enum Attempt {
     DeadlineBlown { at: Nanos },
 }
 
-/// The shared engine behind [`execute_compiled_at`] (faults `None`) and
-/// [`execute_compiled_faulty_at`] (faults `Some`). With `None`, the
-/// fault pre-flight is skipped and every `try_reserve_*` degrades to a
-/// plain reservation, so the fault-free path is the exact schedule the
-/// byte-identity gates pin.
+/// The concurrent engine behind [`execute_compiled_at`] (faults and
+/// overload `None`) and the load generators.
+///
+/// `faults` makes it fault-aware: edge attempts consult the outage
+/// schedule attached to `resources`, failed attempts re-run after the
+/// policy's deterministic backoff, and an edge that exhausts its budget
+/// fails the instance with accounting ([`FaultyOutcome::Failed`])
+/// instead of an opaque error. With `None`, the fault pre-flight is
+/// skipped and every `try_reserve_*` degrades to a plain reservation, so
+/// the fault-free path is the exact schedule the byte-identity gates
+/// pin; an empty (or absent) outage schedule leaves every reservation
+/// byte-identical too.
 ///
 /// `overload` threads the load engine's per-instance control block in:
 /// deadlines are checked at each edge's ready instant *before* a new
@@ -1125,13 +1090,14 @@ mod tests {
 
         // Two instances admitted onto *shared* resources, the second
         // released mid-flight of the first.
+        let compiled = CompiledWorkflow::compile(&spec).unwrap();
         let mut shared = SchedResources::new(1, 2);
         let release = per_edge as Nanos;
         let first =
-            execute_concurrent_at(&mut plane, &clock, &spec, payload.clone(), &mut shared, 0)
+            execute_compiled_at(&mut plane, &clock, &compiled, payload.clone(), &mut shared, 0)
                 .unwrap();
         let second =
-            execute_concurrent_at(&mut plane, &clock, &spec, payload, &mut shared, release)
+            execute_compiled_at(&mut plane, &clock, &compiled, payload, &mut shared, release)
                 .unwrap();
         // The first instance saw empty resources: identical to baseline.
         assert_eq!(first.total_latency_ns, base);
@@ -1152,8 +1118,9 @@ mod tests {
         let base =
             execute_concurrent(&mut plane, &clock, &spec, payload.clone(), &mut res).unwrap();
         let mut res = SchedResources::new(1, 4);
+        let compiled = CompiledWorkflow::compile(&spec).unwrap();
         let shifted =
-            execute_concurrent_at(&mut plane, &clock, &spec, payload, &mut res, 777_000).unwrap();
+            execute_compiled_at(&mut plane, &clock, &compiled, payload, &mut res, 777_000).unwrap();
         // Empty resources: shifting the release shifts starts, not spans.
         assert_eq!(shifted.total_latency_ns, base.total_latency_ns);
         assert_eq!(shifted.edges[0].start_ns, base.edges[0].start_ns + 777_000);
@@ -1316,9 +1283,15 @@ mod tests {
         let clock = VirtualClock::new();
         let mut plane = PassThrough { clock: clock.clone() };
         let mut res = SchedResources::new(1, 4);
-        let plain =
-            execute_concurrent_at(&mut plane, &clock, &spec, payload.clone(), &mut res, 500)
-                .unwrap();
+        let plain = execute_compiled_at(
+            &mut plane,
+            &clock,
+            &CompiledWorkflow::compile(&spec).unwrap(),
+            payload.clone(),
+            &mut res,
+            500,
+        )
+        .unwrap();
         let clock = VirtualClock::new();
         let mut plane = PassThrough { clock: clock.clone() };
         let mut res = SchedResources::new(1, 4);
@@ -1456,14 +1429,15 @@ mod tests {
         let clock = VirtualClock::new();
         let mut plane = PassThrough { clock: clock.clone() };
         let mut res = SchedResources::new(1, 4);
-        let outcome = execute_compiled_faulty_at(
+        let outcome = run_compiled_at(
             &mut plane,
             &clock,
             &compiled,
             payload,
             &mut res,
             100,
-            &RetryPolicy::default(),
+            Some(&RetryPolicy::default()),
+            None,
         )
         .unwrap();
         let FaultyOutcome::Completed { run, retries } = outcome else {
@@ -1497,14 +1471,15 @@ mod tests {
             roadrunner_vkernel::OutageSchedule::new().link_down(id0, id1, 0, 2_500),
         ));
         let policy = RetryPolicy::new(4, 1_000, 1 << 40);
-        let outcome = execute_compiled_faulty_at(
+        let outcome = run_compiled_at(
             &mut plane,
             &clock,
             &compiled,
             Bytes::from_static(b"x"),
             &mut res,
             0,
-            &policy,
+            Some(&policy),
+            None,
         )
         .unwrap();
         let FaultyOutcome::Completed { run, retries } = outcome else {
@@ -1529,14 +1504,15 @@ mod tests {
             roadrunner_vkernel::OutageSchedule::new().node_killed(dead, 0),
         ));
         let policy = RetryPolicy::new(3, 1_000, 1 << 40);
-        let outcome = execute_compiled_faulty_at(
+        let outcome = run_compiled_at(
             &mut plane,
             &clock,
             &compiled,
             Bytes::from_static(b"x"),
             &mut res,
             0,
-            &policy,
+            Some(&policy),
+            None,
         )
         .unwrap();
         let FaultyOutcome::Failed { failure, retries } = outcome else {
@@ -1600,14 +1576,15 @@ mod tests {
             roadrunner_vkernel::OutageSchedule::new().link_down(id0, id1, 500, 4_000),
         ));
         let policy = RetryPolicy::new(2, 4_000, 4_000);
-        let outcome = execute_compiled_faulty_at(
+        let outcome = run_compiled_at(
             &mut plane,
             &clock,
             &compiled,
             Bytes::from_static(b"x"),
             &mut res,
             0,
-            &policy,
+            Some(&policy),
+            None,
         )
         .unwrap();
         let FaultyOutcome::Completed { run, retries } = outcome else {

@@ -10,7 +10,7 @@ pub const PAGE_SIZE: usize = 4096;
 ///
 /// [`CostModel::paper_testbed`] reproduces the environment of the paper's
 /// §6.2 (two 4-core 2 GHz VMs, 100 Mbit/s link, 1 ms RTT). The calibration
-/// anchors are documented per field; DESIGN.md §7 derives them from the
+/// anchors are documented per field; DESIGN.md §8 derives them from the
 /// paper's own breakdowns (Fig. 2b, Fig. 6, Fig. 7).
 ///
 /// All `*_bytes_per_ns` fields are throughputs (bytes processed per

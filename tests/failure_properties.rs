@@ -19,8 +19,9 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use roadrunner_platform::{
-    AdmissionConfig, ArrivalProcess, ClosedLoop, DataPlane, FailurePlan, LoadRun, OpenLoop, PlatformError,
-    RetryPolicy, SpreadLoad, TransferTiming, WorkflowDag, WorkflowSpec,
+    AdmissionConfig, ArrivalProcess, ClosedLoop, DataPlane, FailurePlan, LoadRun, OpenLoop,
+    OverloadConfig, PlatformError, RetryPolicy, SpreadLoad, TransferTiming, WorkflowDag,
+    WorkflowSpec,
 };
 use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources, VirtualClock};
 
@@ -198,8 +199,14 @@ proptest! {
                 instances,
                 admission: AdmissionConfig::warm(),
             };
-            load.run_with_failures(
-                &mut plane, &clock, &mut resources, &mut policy, None, Some(&plan),
+            load.run_overloaded(
+                &mut plane,
+                &clock,
+                &mut resources,
+                &mut policy,
+                None,
+                Some(&plan),
+                &OverloadConfig::default(),
             )
             .unwrap()
         };
@@ -245,8 +252,16 @@ proptest! {
                 instances,
                 admission: AdmissionConfig::cold(10_000),
             };
-            load.run_with_failures(&mut plane, &clock, &mut resources, &mut policy, None, plan)
-                .unwrap()
+            load.run_overloaded(
+                &mut plane,
+                &clock,
+                &mut resources,
+                &mut policy,
+                None,
+                plan,
+                &OverloadConfig::default(),
+            )
+            .unwrap()
         };
 
         let plain = run_with(None);
