@@ -357,8 +357,8 @@ impl FanoutMeasurement {
 /// CPU over the node's cores, and by aggregate wire time on the shared
 /// link:
 /// `makespan = max(branch, Σcpu / cores, Σwire)` — the standard
-/// saturation bound, the same shape `vkernel::pipeline::run_fanout`
-/// produces.
+/// saturation bound, with the wire a single-capacity resource as in
+/// [`SchedResources`](roadrunner_vkernel::SchedResources).
 pub fn measure_fanout(system: System, degree: usize, bytes: usize, intra: bool) -> FanoutMeasurement {
     let payload = Payload::synthetic(PayloadKind::Text, 42, bytes);
     let bed = Arc::new(Testbed::paper());

@@ -13,9 +13,6 @@ pub struct ShimConfig {
     /// VM init) to the sandbox. Benchmarks measuring only steady-state
     /// transfers disable this.
     pub charge_load_costs: bool,
-    /// Chunk size for kernel-space and network transfers; defaults to the
-    /// cost model's I/O chunk when `None`.
-    pub io_chunk_bytes: Option<usize>,
 }
 
 impl ShimConfig {
@@ -35,12 +32,6 @@ impl ShimConfig {
         self.charge_load_costs = charge;
         self
     }
-
-    /// Overrides the transfer chunk size.
-    pub fn with_io_chunk(mut self, bytes: usize) -> Self {
-        self.io_chunk_bytes = Some(bytes);
-        self
-    }
 }
 
 impl Default for ShimConfig {
@@ -48,7 +39,6 @@ impl Default for ShimConfig {
         Self {
             engine_limits: EngineLimits::default(),
             charge_load_costs: true,
-            io_chunk_bytes: None,
         }
     }
 }
@@ -61,17 +51,14 @@ mod tests {
     fn defaults() {
         let c = ShimConfig::default();
         assert!(c.charge_load_costs);
-        assert!(c.io_chunk_bytes.is_none());
     }
 
     #[test]
     fn builder_chains() {
         let c = ShimConfig::new()
             .with_load_costs(false)
-            .with_io_chunk(4096)
             .with_engine_limits(EngineLimits::default().with_fuel(10));
         assert!(!c.charge_load_costs);
-        assert_eq!(c.io_chunk_bytes, Some(4096));
         assert_eq!(c.engine_limits.initial_fuel, Some(10));
     }
 }

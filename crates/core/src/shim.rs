@@ -75,12 +75,9 @@ impl Shim {
         self.modules.keys().map(String::as_str).collect()
     }
 
-    /// Effective transfer chunk size.
+    /// Transfer chunk size: the cost model's I/O chunk.
     pub fn io_chunk(&self) -> usize {
-        self.config
-            .io_chunk_bytes
-            .unwrap_or(self.sandbox.cost().io_chunk_bytes)
-            .max(1)
+        self.sandbox.cost().io_chunk_bytes.max(1)
     }
 
     /// Loads `bundle` into this shim's VM as `module_name`.

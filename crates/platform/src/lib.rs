@@ -6,11 +6,8 @@
 //!
 //! * [`bundle`] — OCI-style function bundles (real Wasm binaries or
 //!   container-image descriptors) with workflow/tenant annotations.
-//! * [`registry`] — the control plane's catalog of bundles.
-//! * [`scheduler`] — placement strategies; Roadrunner adapts to whatever
-//!   they decide.
-//! * [`deploy`] — live instances bound to nodes, with co-location
-//!   queries.
+//! * [`scheduler`] — per-instance placement policies; Roadrunner adapts
+//!   to whatever they decide.
 //! * [`dag`] — first-class workflow DAGs (named nodes, payload-carrying
 //!   edges, cycle/connectivity validation) generalizing the paper's
 //!   sequence/fan-out/fan-in shapes.
@@ -45,10 +42,9 @@
 //!   circuit breakers, and the bounded-queue shedding policies the load
 //!   engine applies at admission. All knobs default off; breakers steer
 //!   placement through the `ResourceView` backlog seam.
-//! * [`metrics`] — sample collection, summaries, latency percentile
-//!   digests (exact nearest-rank and streaming P²) and multi-seed
-//!   [`metrics::Replicated`] summaries with order-statistic confidence
-//!   intervals for the harness.
+//! * [`metrics`] — latency percentile digests (exact nearest-rank and
+//!   streaming P²) and multi-seed [`metrics::Replicated`] summaries with
+//!   order-statistic confidence intervals for the harness.
 //! * [`mod@sweep`] — the parallel sweep engine: a scoped-thread worker pool
 //!   fanning a declarative [`sweep::SweepGrid`] (rates × payloads ×
 //!   policies × seeds) across cores, merging results in deterministic
@@ -56,34 +52,30 @@
 //!   loop.
 //!
 //! ```
-//! use roadrunner_platform::bundle::FunctionBundle;
-//! use roadrunner_platform::deploy::Deployment;
-//! use roadrunner_platform::registry::FunctionRegistry;
-//! use roadrunner_platform::scheduler::Pinned;
+//! use roadrunner_platform::scheduler::{Pinned, PlacementPolicy, RoundRobin};
+//! use roadrunner_platform::WorkflowSpec;
+//! use roadrunner_vkernel::SchedResources;
 //!
-//! # fn main() -> Result<(), roadrunner_platform::PlatformError> {
-//! let registry = FunctionRegistry::new();
-//! registry.register(FunctionBundle::wasm("fn-a", vec![0, 97, 115, 109]));
-//! registry.register(FunctionBundle::wasm("fn-b", vec![0, 97, 115, 109]));
+//! let spec = WorkflowSpec::sequence("wf", "tenant", ["fn-a".to_owned(), "fn-b".to_owned()]);
+//! let view = SchedResources::new(2, 4).view(0);
 //!
-//! let scheduler = Pinned::new(0).pin("fn-b", 1);
-//! let mut deployment = Deployment::new(2);
-//! deployment.deploy(&registry, &scheduler, "fn-a")?;
-//! deployment.deploy(&registry, &scheduler, "fn-b")?;
-//! assert!(!deployment.colocated("fn-a", "fn-b"));
-//! # Ok(())
-//! # }
+//! // Pinning splits the pair across nodes: fn-b's edge goes over the network.
+//! let mut pinned = Pinned::new(0).pin("fn-b", 1);
+//! assert_eq!(pinned.place(&spec, &view), vec![0, 1]);
+//!
+//! // Round-robin co-locates each whole instance, rotating over the nodes.
+//! let mut rr = RoundRobin::new();
+//! assert_eq!(rr.place(&spec, &view), vec![0, 0]);
+//! assert_eq!(rr.place(&spec, &view), vec![1, 1]);
 //! ```
 
 pub mod bundle;
 pub mod dag;
-pub mod deploy;
 pub mod error;
 pub mod loadgen;
 pub mod memo;
 pub mod metrics;
 pub mod overload;
-pub mod registry;
 pub mod scheduler;
 pub mod sweep;
 pub mod warmpool;
@@ -91,7 +83,6 @@ pub mod workflow;
 
 pub use bundle::{BundleKind, FunctionBundle, Manifest};
 pub use dag::WorkflowDag;
-pub use deploy::{DeployedFunction, Deployment};
 pub use error::PlatformError;
 pub use loadgen::{
     ArrivalProcess, Autoscaler, AutoscalerConfig, ClosedLoop, FailurePlan, InstanceOutcome,
@@ -100,18 +91,14 @@ pub use loadgen::{
 };
 pub use warmpool::{AdmissionConfig, Admitted, KeepAlive, PoolStats, WarmPool, WarmPoolConfig};
 pub use metrics::{
-    percentiles, percentiles_sorted, replicate, MetricsCollector, P2Quantile, PercentileSummary,
-    Replicated, ReplicatedStat, Sample, StreamingPercentiles, Summary, STREAMING_EXACT_MAX,
+    percentiles, percentiles_sorted, replicate, P2Quantile, PercentileSummary, Replicated,
+    ReplicatedStat, StreamingPercentiles, STREAMING_EXACT_MAX,
 };
 pub use overload::{
     BreakerConfig, OverloadConfig, OverloadState, QueueConfig, RetryBudgetConfig, ShedPolicy,
     RETRY_COST_MILLITOKENS,
 };
-pub use registry::FunctionRegistry;
-pub use scheduler::{
-    LocalityFirst, PackThenSpill, Pinned, Placement, PlacementPolicy, RoundRobin, Scheduler,
-    SpreadLoad,
-};
+pub use scheduler::{LocalityFirst, PackThenSpill, Pinned, PlacementPolicy, RoundRobin, SpreadLoad};
 pub use memo::MemoizedPlane;
 pub use sweep::{
     available_workers, parallel_map, run_jobs, sweep, SweepGrid, SweepMode, SweepPoint,

@@ -1,47 +1,11 @@
-//! Metrics collection and summarization for experiment runs.
+//! Latency percentile digests and across-seed replication for experiment
+//! runs.
 
 use roadrunner_vkernel::Nanos;
 
-/// One observation: an operation's latency plus the resource deltas its
-/// sandboxes accumulated — the tuple every figure in the paper plots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
-    /// Series label (e.g. `roadrunner-user/100MB`).
-    pub label: String,
-    /// End-to-end latency.
-    pub latency_ns: Nanos,
-    /// User-space CPU time consumed.
-    pub user_cpu_ns: Nanos,
-    /// Kernel-space CPU time consumed.
-    pub kernel_cpu_ns: Nanos,
-    /// Peak RAM in bytes.
-    pub ram_peak: u64,
-}
-
-/// Summary statistics over samples sharing a label.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Mean latency.
-    pub mean_latency_ns: f64,
-    /// Minimum latency.
-    pub min_latency_ns: Nanos,
-    /// Maximum latency.
-    pub max_latency_ns: Nanos,
-    /// Median latency.
-    pub p50_latency_ns: Nanos,
-    /// Mean user CPU.
-    pub mean_user_cpu_ns: f64,
-    /// Mean kernel CPU.
-    pub mean_kernel_cpu_ns: f64,
-    /// Maximum RAM peak.
-    pub max_ram_peak: u64,
-}
-
 /// Latency percentile digest over a set of observations — the
 /// tail-latency view the load experiments report (p50/p95/p99), which
-/// mean-centric summaries like [`Summary`] cannot show.
+/// a mean alone cannot show.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PercentileSummary {
     /// Number of observations.
@@ -573,122 +537,9 @@ fn forward_cdf(points: &[(f64, f64)], v: f64) -> f64 {
     1.0
 }
 
-/// Accumulates samples across experiment repetitions.
-#[derive(Debug, Default)]
-pub struct MetricsCollector {
-    samples: Vec<Sample>,
-}
-
-impl MetricsCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: Sample) {
-        self.samples.push(sample);
-    }
-
-    /// All samples recorded so far.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Distinct labels in first-seen order.
-    pub fn labels(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for s in &self.samples {
-            if !out.contains(&s.label.as_str()) {
-                out.push(&s.label);
-            }
-        }
-        out
-    }
-
-    /// Summary statistics for one label; `None` if no samples carry it.
-    pub fn summary(&self, label: &str) -> Option<Summary> {
-        let subset: Vec<&Sample> = self.samples.iter().filter(|s| s.label == label).collect();
-        if subset.is_empty() {
-            return None;
-        }
-        let mut latencies: Vec<Nanos> = subset.iter().map(|s| s.latency_ns).collect();
-        latencies.sort_unstable();
-        let count = subset.len();
-        Some(Summary {
-            count,
-            mean_latency_ns: latencies.iter().sum::<u64>() as f64 / count as f64,
-            min_latency_ns: latencies[0],
-            max_latency_ns: latencies[count - 1],
-            p50_latency_ns: latencies[count / 2],
-            mean_user_cpu_ns: subset.iter().map(|s| s.user_cpu_ns).sum::<u64>() as f64
-                / count as f64,
-            mean_kernel_cpu_ns: subset.iter().map(|s| s.kernel_cpu_ns).sum::<u64>() as f64
-                / count as f64,
-            max_ram_peak: subset.iter().map(|s| s.ram_peak).max().unwrap_or(0),
-        })
-    }
-
-    /// Percentile digest of the latencies recorded under `label`; `None`
-    /// if no samples carry it.
-    pub fn percentiles(&self, label: &str) -> Option<PercentileSummary> {
-        let latencies: Vec<Nanos> = self
-            .samples
-            .iter()
-            .filter(|s| s.label == label)
-            .map(|s| s.latency_ns)
-            .collect();
-        percentiles(&latencies)
-    }
-
-    /// Clears recorded samples.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(label: &str, latency: Nanos) -> Sample {
-        Sample {
-            label: label.into(),
-            latency_ns: latency,
-            user_cpu_ns: latency / 2,
-            kernel_cpu_ns: latency / 4,
-            ram_peak: 1024,
-        }
-    }
-
-    #[test]
-    fn summary_statistics() {
-        let mut m = MetricsCollector::new();
-        for latency in [100, 200, 300] {
-            m.record(sample("x", latency));
-        }
-        let s = m.summary("x").unwrap();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.mean_latency_ns, 200.0);
-        assert_eq!(s.min_latency_ns, 100);
-        assert_eq!(s.max_latency_ns, 300);
-        assert_eq!(s.p50_latency_ns, 200);
-        assert_eq!(s.max_ram_peak, 1024);
-    }
-
-    #[test]
-    fn missing_label_is_none() {
-        assert!(MetricsCollector::new().summary("nope").is_none());
-    }
-
-    #[test]
-    fn labels_in_first_seen_order() {
-        let mut m = MetricsCollector::new();
-        m.record(sample("b", 1));
-        m.record(sample("a", 1));
-        m.record(sample("b", 2));
-        assert_eq!(m.labels(), vec!["b", "a"]);
-    }
 
     #[test]
     fn percentiles_use_nearest_rank() {
@@ -713,19 +564,6 @@ mod tests {
         let single = percentiles(&[7]).unwrap();
         assert_eq!((single.p50_ns, single.p95_ns, single.p99_ns), (7, 7, 7));
         assert!(percentiles(&[]).is_none());
-    }
-
-    #[test]
-    fn collector_percentiles_filter_by_label() {
-        let mut m = MetricsCollector::new();
-        for latency in [10, 20, 30] {
-            m.record(sample("x", latency));
-        }
-        m.record(sample("y", 1_000_000));
-        let p = m.percentiles("x").unwrap();
-        assert_eq!(p.count, 3);
-        assert_eq!(p.max_ns, 30);
-        assert!(m.percentiles("nope").is_none());
     }
 
     #[test]
@@ -856,15 +694,6 @@ mod tests {
         assert_eq!(forward.count, 6);
         assert!(forward.p95_ns.ci_lo <= forward.p95_ns.mean);
         assert!(forward.p95_ns.mean <= forward.p95_ns.ci_hi);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut m = MetricsCollector::new();
-        m.record(sample("x", 1));
-        m.clear();
-        assert!(m.samples().is_empty());
-        assert!(m.summary("x").is_none());
     }
 
     #[test]

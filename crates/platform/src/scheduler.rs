@@ -2,18 +2,15 @@
 //!
 //! Roadrunner explicitly does *not* control placement: it "optimizes
 //! communication regardless of the scheduler's decisions" (paper §2.2).
-//! The schedulers here stand in for the orchestrator, at two levels:
+//! The policies here stand in for the orchestrator. A [`PlacementPolicy`]
+//! places a whole **workflow instance** onto the cluster it observes
+//! through a live [`ResourceView`] snapshot: the per-node backlog every
+//! earlier admission created, refreshed at each instance's arrival.
+//! Policies therefore route around hot nodes without keeping private
+//! counters, and they keep working when an autoscaler grows or shrinks
+//! the active node set between arrivals.
 //!
-//! * [`Scheduler`] places one function at a time ([`RoundRobin`],
-//!   [`Pinned`]) — enough for the paper's single-workflow experiments.
-//! * [`PlacementPolicy`] places a whole **workflow instance** onto the
-//!   cluster it observes through a live [`ResourceView`] snapshot: the
-//!   per-node backlog every earlier admission created, refreshed at each
-//!   instance's arrival. Policies therefore route around hot nodes
-//!   without keeping private counters, and they keep working when an
-//!   autoscaler grows or shrinks the active node set between arrivals.
-//!
-//! The instance-level policies:
+//! The policies:
 //!
 //! * [`LocalityFirst`] packs each instance onto the least-backlogged
 //!   node (maximizing user-/kernel-space edges for Roadrunner to
@@ -23,8 +20,9 @@
 //! * [`PackThenSpill`] packs onto one node until its backlog exceeds a
 //!   threshold, then spills to the next — the locality/spread hybrid the
 //!   elastic experiments sweep;
-//! * [`RoundRobin`] and [`Pinned`] also implement the instance seam, so
-//!   the classic per-function strategies drive the load generator too.
+//! * [`RoundRobin`] packs the k-th instance onto node `k mod n`, the
+//!   load-blind baseline;
+//! * [`Pinned`] places each function on an explicit node.
 //!
 //! **The overload-steering seam.** The `ResourceView` snapshot is also
 //! where circuit breakers steer placement: before a policy looks, the
@@ -41,60 +39,39 @@
 //! the penalty is a full evacuation until the circuit closes.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use roadrunner_vkernel::sched::ResourceView;
 
 use crate::workflow::WorkflowSpec;
 
-/// A placement decision: which node a function instance runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placement {
-    /// Index of the node in the testbed.
-    pub node: usize,
-}
-
-/// Strategy assigning functions to nodes.
-pub trait Scheduler: Send + Sync {
-    /// Chooses a node for `function` in a cluster of `node_count` nodes.
-    fn place(&self, function: &str, node_count: usize) -> Placement;
-}
-
-/// Spreads placements across nodes in arrival order.
+/// Packs the whole k-th instance onto node `k mod n` — load-blind by
+/// design, the control baseline the backlog-aware policies are measured
+/// against.
 #[derive(Debug, Default)]
 pub struct RoundRobin {
-    next: AtomicUsize,
+    next: usize,
 }
 
 impl RoundRobin {
-    /// Creates a scheduler starting at node 0.
+    /// Creates a policy starting at node 0.
     pub fn new() -> Self {
         Self::default()
     }
 }
 
-impl Scheduler for RoundRobin {
-    fn place(&self, _function: &str, node_count: usize) -> Placement {
-        let idx = self.next.fetch_add(1, Ordering::Relaxed);
-        Placement { node: idx % node_count.max(1) }
-    }
-}
-
-/// As an instance policy, round-robin packs the whole k-th instance onto
-/// node `k mod n` — load-blind by design, the control baseline the
-/// backlog-aware policies are measured against.
 impl PlacementPolicy for RoundRobin {
     fn name(&self) -> &'static str {
         "round_robin"
     }
 
     fn place(&mut self, spec: &WorkflowSpec, view: &ResourceView) -> Vec<usize> {
-        let idx = self.next.fetch_add(1, Ordering::Relaxed);
-        vec![idx % view.node_count(); spec.functions().len()]
+        let node = self.next % view.node_count();
+        self.next = self.next.wrapping_add(1);
+        vec![node; spec.functions().len()]
     }
 
     fn reset(&mut self) {
-        self.next.store(0, Ordering::Relaxed);
+        self.next = 0;
     }
 }
 
@@ -108,7 +85,7 @@ pub struct Pinned {
 }
 
 impl Pinned {
-    /// Creates a pinned scheduler defaulting to node `default`.
+    /// Creates a pinned policy defaulting to node `default`.
     pub fn new(default: usize) -> Self {
         Self { map: HashMap::new(), default }
     }
@@ -120,17 +97,9 @@ impl Pinned {
     }
 }
 
-impl Scheduler for Pinned {
-    fn place(&self, function: &str, node_count: usize) -> Placement {
-        let node = self.map.get(function).copied().unwrap_or(self.default);
-        Placement { node: node.min(node_count.saturating_sub(1)) }
-    }
-}
-
-/// As an instance policy, pinning ignores the live view entirely but
-/// clamps every pin to the currently active node set, so a placement map
-/// written for a large cluster keeps working after the autoscaler shrank
-/// it.
+/// Pinning ignores the live view entirely but clamps every pin to the
+/// currently active node set, so a placement map written for a large
+/// cluster keeps working after the autoscaler shrank it.
 impl PlacementPolicy for Pinned {
     fn name(&self) -> &'static str {
         "pinned"
@@ -304,34 +273,6 @@ mod tests {
     use super::*;
     use roadrunner_vkernel::sched::SchedResources;
 
-    #[test]
-    fn round_robin_cycles() {
-        let s = RoundRobin::new();
-        assert_eq!(Scheduler::place(&s, "a", 2).node, 0);
-        assert_eq!(Scheduler::place(&s, "b", 2).node, 1);
-        assert_eq!(Scheduler::place(&s, "c", 2).node, 0);
-    }
-
-    #[test]
-    fn round_robin_survives_single_node() {
-        let s = RoundRobin::new();
-        assert_eq!(Scheduler::place(&s, "a", 1).node, 0);
-        assert_eq!(Scheduler::place(&s, "b", 0).node, 0);
-    }
-
-    #[test]
-    fn pinned_uses_map_then_default() {
-        let s = Pinned::new(1).pin("a", 0);
-        assert_eq!(Scheduler::place(&s, "a", 2).node, 0);
-        assert_eq!(Scheduler::place(&s, "other", 2).node, 1);
-    }
-
-    #[test]
-    fn pinned_clamps_to_cluster_size() {
-        let s = Pinned::new(0).pin("a", 9);
-        assert_eq!(Scheduler::place(&s, "a", 2).node, 1);
-    }
-
     fn chain(name: &str) -> WorkflowSpec {
         WorkflowSpec::sequence(name, "t", ["f".to_owned(), "g".to_owned(), "h".to_owned()])
     }
@@ -422,20 +363,55 @@ mod tests {
     fn round_robin_instances_rotate_over_the_active_set() {
         let mut policy = RoundRobin::new();
         let view = view_of(&[0, 0, 0]);
-        assert_eq!(PlacementPolicy::place(&mut policy, &chain("a"), &view), vec![0; 3]);
-        assert_eq!(PlacementPolicy::place(&mut policy, &chain("b"), &view), vec![1; 3]);
-        assert_eq!(PlacementPolicy::place(&mut policy, &chain("c"), &view), vec![2; 3]);
-        assert_eq!(PlacementPolicy::place(&mut policy, &chain("d"), &view), vec![0; 3]);
+        assert_eq!(policy.place(&chain("a"), &view), vec![0; 3]);
+        assert_eq!(policy.place(&chain("b"), &view), vec![1; 3]);
+        assert_eq!(policy.place(&chain("c"), &view), vec![2; 3]);
+        assert_eq!(policy.place(&chain("d"), &view), vec![0; 3]);
         policy.reset();
-        assert_eq!(PlacementPolicy::place(&mut policy, &chain("e"), &view), vec![0; 3]);
+        assert_eq!(policy.place(&chain("e"), &view), vec![0; 3]);
+    }
+
+    #[test]
+    fn round_robin_cycles() {
+        let mut policy = RoundRobin::new();
+        let view = view_of(&[0, 0]);
+        assert_eq!(policy.place(&chain("a"), &view), vec![0; 3]);
+        assert_eq!(policy.place(&chain("b"), &view), vec![1; 3]);
+        assert_eq!(policy.place(&chain("c"), &view), vec![0; 3]);
+    }
+
+    #[test]
+    fn round_robin_survives_single_node() {
+        // A one-node cluster keeps every instance on its only node.
+        let mut policy = RoundRobin::new();
+        let single = view_of(&[0]);
+        for name in ["a", "b", "c"] {
+            assert_eq!(policy.place(&chain(name), &single), vec![0; 3]);
+        }
     }
 
     #[test]
     fn pinned_instances_clamp_to_the_active_set() {
         let mut policy = Pinned::new(0).pin("f", 5).pin("g", 1);
-        let got = PlacementPolicy::place(&mut policy, &chain("a"), &view_of(&[0, 0]));
+        let got = policy.place(&chain("a"), &view_of(&[0, 0]));
         // f pinned past the active set clamps to the last node.
         assert_eq!(got, vec![1, 1, 0]);
+    }
+
+    #[test]
+    fn pinned_uses_map_then_default() {
+        // A nonzero default places the unlisted g and h; the pin wins for f.
+        let mut policy = Pinned::new(1).pin("f", 0);
+        let got = policy.place(&chain("a"), &view_of(&[0, 0, 0]));
+        assert_eq!(got, vec![0, 1, 1]);
+    }
+
+    #[test]
+    fn pinned_clamps_to_cluster_size() {
+        // Both a pin and the default past the active set clamp to the last node.
+        let mut policy = Pinned::new(7).pin("f", 9);
+        let got = policy.place(&chain("a"), &view_of(&[0, 0]));
+        assert_eq!(got, vec![1, 1, 1]);
     }
 
     #[test]

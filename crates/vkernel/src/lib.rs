@@ -26,10 +26,6 @@
 //!   mechanism (paper §4.2).
 //! * [`tcp`] — a TCP-like byte stream between nodes with bandwidth and RTT
 //!   from the link model.
-//! * [`pipeline`] — a chunk-level pipeline timing engine that models
-//!   whether transfer stages overlap (tokio-style streaming in RunC and in
-//!   Roadrunner shims) or execute strictly sequentially (the
-//!   single-threaded WasmEdge guest).
 //! * [`sched`] — discrete-event scheduling primitives (per-resource
 //!   timelines, a deterministic event queue) that let the platform's DAG
 //!   executor overlap independent workflow edges in virtual time while
@@ -65,7 +61,6 @@ pub mod net;
 pub mod node;
 pub mod outage;
 pub mod pipe;
-pub mod pipeline;
 pub mod sched;
 pub mod tcp;
 pub mod testbed;
@@ -79,7 +74,6 @@ pub use error::VkError;
 pub use net::Link;
 pub use node::Node;
 pub use outage::{OutageSchedule, OutageWindow};
-pub use pipeline::{Overlap, Space, Stage, TransferOutcome};
 pub use sched::{EventQueue, NodeView, ResourceView, SchedResources, Timeline};
 pub use testbed::Testbed;
 

@@ -250,8 +250,7 @@ impl<T> std::fmt::Debug for EventQueue<T> {
 /// The schedulable resources of a testbed: one CPU timeline per node
 /// (capacity = core count) and the inter-node links (capacity 1 each —
 /// concurrent transfers share a link's bandwidth by queueing behind each
-/// other, matching [`run_fanout`](crate::pipeline::run_fanout)'s
-/// single-capacity wire).
+/// other: one wire, one transfer at a time).
 ///
 /// Two link layouts exist. The classic layout (the paper's two-VM pair)
 /// has **one shared WAN timeline** that every inter-node edge reserves.

@@ -82,6 +82,12 @@ impl<'a> Parser<'a> {
         self.input.get(self.pos).copied()
     }
 
+    /// Bytes left in the input: the most elements of at least one byte
+    /// each that the rest can hold, so it caps count-sized reservations.
+    fn remaining(&self) -> usize {
+        self.input.len() - self.pos
+    }
+
     fn take(&mut self, len: usize) -> PResult<&'a [u8]> {
         let end = self
             .pos
@@ -183,12 +189,12 @@ impl<'a> Parser<'a> {
                 return self.err(format!("expected functype 0x60, got 0x{tag:02x}"));
             }
             let n_params = self.u32()?;
-            let mut params = Vec::with_capacity(n_params as usize);
+            let mut params = Vec::with_capacity((n_params as usize).min(self.remaining()));
             for _ in 0..n_params {
                 params.push(self.valtype()?);
             }
             let n_results = self.u32()?;
-            let mut results = Vec::with_capacity(n_results as usize);
+            let mut results = Vec::with_capacity((n_results as usize).min(self.remaining()));
             for _ in 0..n_results {
                 results.push(self.valtype()?);
             }
